@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 suite (twice: serial + parallel workers), a
 # naive-backend kernel differential pass (including the delta-prediction
-# differential harness), the coverage floors (repro.parallel, repro.nn,
+# differential harness), float32 and threaded reruns, the benchmark
+# smoke suite under perf/, the coverage floors (repro.parallel, repro.nn,
 # repro.obs, repro.serving, repro.sta), the bench regression gate
 # (`repro bench diff --check` vs. the run ledger), then fast serving +
 # compute smoke tests (the serving bench also gates the incremental
@@ -57,12 +58,24 @@ EOF
     # serial thread budget, and a 4-thread budget with the engagement
     # threshold forced to 1 row so the chunked matmul/segment paths
     # actually run on test-sized inputs.
+    # The delta differential joins the float32 and 4-thread runs: the
+    # incremental refresh shares the propagation steps, so it must hold
+    # incremental == full forward on both axes too.
     REPRO_DTYPE=float32 python -m pytest -x -q \
-        tests/test_nn_autograd.py tests/test_arena.py
+        tests/test_nn_autograd.py tests/test_arena.py \
+        "tests/test_delta.py::TestEditDifferential"
     REPRO_COMPUTE_THREADS=1 python -m pytest -x -q \
         tests/test_nn_autograd.py tests/test_arena.py
     REPRO_COMPUTE_THREADS=4 REPRO_COMPUTE_MIN_ROWS=1 python -m pytest -x -q \
-        tests/test_nn_autograd.py tests/test_arena.py
+        tests/test_nn_autograd.py tests/test_arena.py \
+        "tests/test_delta.py::TestEditDifferential"
+
+    echo "== benchmark smoke suite (perf/) =="
+    # perf/spans.py wraps program entry points by name (for example
+    # DelayPropagation.forward, and IncrementalForwardState.refresh with
+    # its "dirty_nodes" stat), so a rename there must fail CI, not only
+    # the benchmark.
+    python -m pytest perf -q
 
     echo "== coverage floors (repro.parallel, repro.nn, repro.obs, repro.serving, repro.sta) =="
     python scripts/coverage_floor.py --min 80

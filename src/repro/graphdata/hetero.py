@@ -115,6 +115,38 @@ class LevelCompute:
         self.lut_idx_y = np.ascontiguousarray(idx[:, 7:])
         self.lut_values = self.cell_values.reshape(e * 8, 49)
 
+    def subset(self, net_rows, segs):
+        """A forward-only view of this level: the net edges at positions
+        ``net_rows`` and every edge of the cell fanin segments ``segs``
+        (ascending), with segments renumbered ``0..len(segs)-1`` under a
+        local :class:`~repro.nn.kernels.SegmentSchedule`.
+
+        The dirty-frontier refresh runs the propagation steps over such
+        views.  Edges keep their stable order, so each kept segment
+        reduces in the same order as in the full level.  The
+        backward-only schedules and the raw LUT arrays stay unset.
+        """
+        from ..nn.kernels import SegmentSchedule
+
+        view = object.__new__(LevelCompute)
+        view.net_eids = self.net_eids[net_rows]
+        view.net_src = self.net_src[net_rows]
+        view.net_dst = self.net_dst[net_rows]
+        view.net_features = self.net_features[net_rows]
+        es = np.nonzero(np.isin(self.cell_seg, segs))[0]
+        rows8 = (es[:, None] * 8 + np.arange(8)).ravel()
+        view.cell_eids = self.cell_eids[es]
+        view.cell_src = self.cell_src[es]
+        view.cell_dst_edges = self.cell_dst_edges[es]
+        view.cell_dst = self.cell_dst[segs]
+        view.cell_seg = np.searchsorted(segs, self.cell_seg[es])
+        view.cell_seg_sched = SegmentSchedule(view.cell_seg)
+        view.cell_valid = self.cell_valid[es]
+        view.lut_idx_x = self.lut_idx_x[rows8]
+        view.lut_idx_y = self.lut_idx_y[rows8]
+        view.lut_values = self.lut_values[rows8]
+        return view
+
 
 class LevelSchedule:
     """Per-graph cache of propagation/embedding index structures.

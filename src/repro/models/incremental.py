@@ -21,13 +21,17 @@ levels/segments downstream of the touched pins:
   the frontier — exactly the early-termination rule of
   :class:`~repro.sta.incremental.IncrementalTimer`.
 
-The arithmetic mirrors ``models.propagation._fused_propagate`` step for
-step (same raw kernels, same write order, segment reductions over
-stable-sorted subsets that reduce in the same per-segment order), so a
-refresh from an all-dirty state is bit-identical to the fused full
-forward, and a cone refresh can only *over*-invalidate, never drift.
-The differential harness in ``tests/test_delta.py`` pins incremental ==
-full forward at 1e-9 across edit kinds and kernel backends.
+Both passes run the propagation model's own net and cell steps
+(:class:`~repro.models.propagation.PropagationSteps`) through its step
+driver (:func:`~repro.models.propagation.propagate_levels`): a full
+refresh is the driver's no-grad full forward, a cone refresh its
+dirty-frontier mode over level subsets whose segment reductions keep
+the full pass's per-segment order — so a cone refresh can only
+*over*-invalidate, never drift.  A model the driver cannot run (the
+``mlp`` LUT ablation) refreshes with a whole-graph no-grad forward
+every time.  The differential harness in ``tests/test_delta.py`` pins
+incremental == full forward within the dtype contract tolerance across
+edit kinds, LUT modes and kernel backends.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
+from ..nn.arena import NULL_ARENA
+from .propagation import (PropagationSteps, _runs_steps,
+                          propagate_levels)
 
 __all__ = ["IncrementalForwardState"]
 
@@ -70,7 +77,6 @@ class IncrementalForwardState:
         self.arrival = None        # (N, 4) refined arrival head
         self.slew = None           # (N, 4) slew head
         self.net_delay = None      # (N, 4) net-delay head
-        self.last_refresh_nodes = 0    # instrumentation: frontier size
 
     def invalidate(self):
         """Drop all cached state (structural edit / new graph object)."""
@@ -86,168 +92,76 @@ class IncrementalForwardState:
         structural, _nodes, net_eids, cell_eids = _merge_deltas(deltas)
         full = structural or self.he is None
         if not full and not deltas and self.version == version:
-            self.last_refresh_nodes = 0
             return {"full": False, "dirty_nodes": 0}
         if full:
             self.invalidate()
-            net_eids = cell_eids = np.empty(0, dtype=np.int64)
 
         n = graph.num_nodes
-        model = self.model
+        prop = self.model.propagation
         with nn.no_grad():
-            he_t, nd_t = model.net_embedding.forward(graph)
-        he_new = he_t.data
-        if full:
-            emb_dirty = np.ones(n, dtype=bool)
-        else:
-            emb_dirty = np.any(he_new != self.he, axis=1)
-        self.he = he_new
+            he_t, nd_t = self.model.net_embedding.forward(graph)
         self.net_delay = nd_t.data
+        if not _runs_steps(prop):
+            with nn.no_grad():
+                atslew = prop.forward(graph, he_t)[0].data
+            self.arrival, self.slew = atslew[:, :4], atslew[:, 4:]
+            self.version = version
+            return {"full": True, "dirty_nodes": n}
 
-        dirty_nodes = self._propagate(graph, emb_dirty, net_eids,
-                                      cell_eids, full)
-        self.version = version
-        self.last_refresh_nodes = int(dirty_nodes)
-        return {"full": full, "dirty_nodes": int(dirty_nodes)}
-
-    # -- the dirty-frontier propagation loop -------------------------------
-    def _propagate(self, graph, emb_dirty, net_eids, cell_eids, full):
-        kernels = nn.kernels
-        model = self.model.propagation
-        cfg = model.cfg
-        sched = graph.compute_schedule()
-        n = graph.num_nodes
-        he = self.he
-
-        st_init = model.source_init.fused_steps()
-        st_at0 = model.source_at.fused_steps()
-        st_net_prop = model.net_prop.fused_steps()
-        st_net_inc = model.net_inc.fused_steps()
-        st_query = model.lut.query.fused_steps()
-        st_cx = model.lut.coeff_x.fused_steps()
-        st_cy = model.lut.coeff_y.fused_steps()
-        st_msg = model.cell_msg.fused_steps()
-        st_cinc = model.cell_inc.fused_steps()
-        st_comb = model.cell_combine.fused_steps()
-        st_refine = model.refine_at.fused_steps()
-        st_slew = model.slew_head.fused_steps()
-
-        def mlp(h, steps, out_act=None):
-            return kernels.mlp_chain_forward_raw(h, steps, out_act=out_act,
-                                                 save=False)[0]
-
-        gcat = kernels.gather_concat_raw
-        extrema = kernels.segment_extrema_raw
-        scatter_add = kernels.scatter_add_rows
-        reduction = model.reduction
-        d_prop = cfg.prop_dim
-        gate = 1.0 / (1.0 + np.exp(-np.clip(model.agg_gate.data, -60, 60)))
-
+        he = he_t.data
+        sched = graph.compute_schedule(dtype=he.dtype)
+        steps = PropagationSteps(prop, he.dtype, False, NULL_ARENA)
         if full:
-            dt = he.dtype
-            self.hp = np.zeros((n, d_prop), dtype=dt)
-            self.atb = np.zeros((n, 4), dtype=dt)
-            self.arrival = np.zeros((n, 4), dtype=dt)
-            self.slew = np.zeros((n, 4), dtype=dt)
-        hp, atb = self.hp, self.atb
-        node_dirty = np.ones(n, dtype=bool) if full \
-            else np.zeros(n, dtype=bool)
+            self.hp = np.zeros((n, prop.cfg.prop_dim), dtype=he.dtype)
+            self.atb = np.zeros((n, 4), dtype=he.dtype)
+            self.arrival = np.zeros((n, 4), dtype=he.dtype)
+            self.slew = np.zeros((n, 4), dtype=he.dtype)
+            propagate_levels(steps, sched, he, self.hp, self.atb,
+                             sched.sources, None, None)
+            rows = np.arange(n)
+        else:
+            emb_dirty = np.any(he != self.he, axis=1)
+            frontier = _Frontier(graph, emb_dirty, net_eids, cell_eids)
+            sources = sched.sources[emb_dirty[sched.sources]]
+            propagate_levels(steps, sched, he, self.hp, self.atb, sources,
+                             None, frontier)
+            rows = np.nonzero(frontier.node_dirty | emb_dirty)[0]
+        self.he = he
+        if len(rows):
+            with nn.no_grad():
+                atslew = prop.heads(nn.Tensor(he[rows]),
+                                    nn.Tensor(self.hp[rows]),
+                                    nn.Tensor(self.atb[rows])).data
+            self.arrival[rows] = atslew[:, :4]
+            self.slew[rows] = atslew[:, 4:]
+        self.version = version
+        return {"full": full, "dirty_nodes": len(rows)}
 
-        net_feat_dirty = np.zeros(graph.num_net_edges, dtype=bool)
-        net_feat_dirty[net_eids] = True
-        lut_dirty = np.zeros(graph.num_cell_edges, dtype=bool)
-        lut_dirty[cell_eids] = True
 
-        def write(index, new_hp, new_at):
-            """Write branch outputs; mark rows whose state moved."""
-            if not full:
-                changed = (np.any(new_hp != hp[index], axis=1) |
-                           np.any(new_at != atb[index], axis=1))
-                node_dirty[index[changed]] = True
-            hp[index] = new_hp
-            atb[index] = new_at
+class _Frontier:
+    """Dirty-frontier selection for one cone refresh (the rules of the
+    module docstring).  ``node_dirty`` is live: the step driver marks
+    the rows whose state moved as it writes each level."""
 
-        sources = sched.sources
-        src_rows = sources[emb_dirty[sources]] if len(sources) else sources
-        if len(src_rows):
-            he_src = he[src_rows]
-            write(src_rows, mlp(he_src, st_init, out_act="tanh"),
-                  mlp(he_src, st_at0, out_act="softplus"))
+    def __init__(self, graph, emb_dirty, net_eids, cell_eids):
+        self.emb_dirty = emb_dirty
+        self.node_dirty = np.zeros(graph.num_nodes, dtype=bool)
+        self.net_feat_dirty = np.zeros(graph.num_net_edges, dtype=bool)
+        self.net_feat_dirty[net_eids] = True
+        self.lut_dirty = np.zeros(graph.num_cell_edges, dtype=bool)
+        self.lut_dirty[cell_eids] = True
 
-        for lv in sched.levels:
-            net_idx = net_new_hp = net_new_at = None
-            cell_idx = cell_new_hp = cell_new_at = None
-            if len(lv.net_eids):
-                sel = (node_dirty[lv.net_src] | emb_dirty[lv.net_dst] |
-                       net_feat_dirty[lv.net_eids])
-                rows = np.nonzero(sel)[0]
-                if len(rows):
-                    src = lv.net_src[rows]
-                    joint = gcat([hp, he, lv.net_features[rows]],
-                                 [src, lv.net_dst[rows], None])
-                    net_new_hp = mlp(joint, st_net_prop, out_act="tanh")
-                    net_new_at = atb[src] + mlp(joint, st_net_inc,
-                                                out_act="softplus")
-                    net_idx = lv.net_dst[rows]
-            if len(lv.cell_eids):
-                edge_sel = (node_dirty[lv.cell_src] |
-                            emb_dirty[lv.cell_dst_edges] |
-                            lut_dirty[lv.cell_eids])
-                segs = np.unique(np.concatenate(
-                    [lv.cell_seg[edge_sel],
-                     np.nonzero(emb_dirty[lv.cell_dst])[0]]))
-                if len(segs):
-                    # Recompute ALL edges of every dirty fanin segment so
-                    # the segment reductions see complete groups (and
-                    # reduce in the same stable order as the full pass).
-                    es = np.nonzero(np.isin(lv.cell_seg, segs))[0]
-                    e = len(es)
-                    src = lv.cell_src[es]
-                    q_in = gcat([hp, he], [src, lv.cell_dst_edges[es]])
-                    q = mlp(q_in, st_query, out_act="tanh")
-                    q8 = np.repeat(q, 8, axis=0)
-                    rows8 = (es[:, None] * 8 + np.arange(8)).ravel()
-                    ax = mlp(gcat([q8, lv.lut_idx_x[rows8]], [None, None]),
-                             st_cx)
-                    ay = mlp(gcat([q8, lv.lut_idx_y[rows8]], [None, None]),
-                             st_cy)
-                    v3 = lv.lut_values[rows8].reshape(-1, 7, 7)
-                    vy = np.matmul(v3, ay[:, :, None])[:, :, 0]
-                    lut_out = (np.einsum("ij,ij->i", ax, vy).reshape(e, 8)
-                               * lv.cell_valid[es])
-                    msg = mlp(np.concatenate([q_in, lut_out], axis=1),
-                              st_msg, out_act="tanh")
-                    inc = mlp(np.concatenate([msg, lut_out], axis=1),
-                              st_cinc, out_act="softplus")
-                    cand = atb[src] + inc
-                    seg_local = np.searchsorted(segs, lv.cell_seg[es])
-                    sub = kernels.SegmentSchedule(seg_local)
-                    n_seg = len(segs)
-                    out_max = extrema(cand, sub, n_seg, np.maximum)
-                    out_min = extrema(cand, sub, n_seg, np.minimum)
-                    cell_new_at = out_max * gate + out_min * (1.0 - gate)
-                    aggs = []
-                    if reduction in ("sum", "both"):
-                        agg = np.zeros((n_seg, d_prop), dtype=msg.dtype)
-                        scatter_add(agg, seg_local, msg, schedule=sub)
-                        aggs.append(agg)
-                    if reduction in ("max", "both"):
-                        aggs.append(extrema(msg, sub, n_seg, np.maximum))
-                    cell_idx = lv.cell_dst[segs]
-                    comb_in = gcat([he] + aggs,
-                                   [cell_idx] + [None] * len(aggs))
-                    cell_new_hp = mlp(comb_in, st_comb, out_act="tanh")
-            # Writes after both branches' reads (net first, then cell),
-            # matching _fused_propagate; net_dst (sink pins) and cell_dst
-            # (cell output pins) are disjoint node sets.
-            if net_idx is not None:
-                write(net_idx, net_new_hp, net_new_at)
-            if cell_idx is not None:
-                write(cell_idx, cell_new_hp, cell_new_at)
-
-        head_rows = np.nonzero(node_dirty | emb_dirty)[0]
-        if len(head_rows):
-            state = np.concatenate([he[head_rows], hp[head_rows]], axis=1)
-            self.arrival[head_rows] = atb[head_rows] + mlp(state, st_refine)
-            self.slew[head_rows] = mlp(state, st_slew, out_act="softplus")
-        return len(head_rows)
+    def view(self, lv):
+        """The subset of level ``lv`` to recompute, or None."""
+        node_dirty, emb_dirty = self.node_dirty, self.emb_dirty
+        net_rows = np.nonzero(node_dirty[lv.net_src] |
+                              emb_dirty[lv.net_dst] |
+                              self.net_feat_dirty[lv.net_eids])[0]
+        edge_sel = (node_dirty[lv.cell_src] |
+                    emb_dirty[lv.cell_dst_edges] |
+                    self.lut_dirty[lv.cell_eids])
+        segs = np.unique(np.concatenate(
+            [lv.cell_seg[edge_sel], np.nonzero(emb_dirty[lv.cell_dst])[0]]))
+        if not len(net_rows) and not len(segs):
+            return None
+        return lv.subset(net_rows, segs)

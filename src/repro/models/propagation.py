@@ -163,22 +163,26 @@ class DelayPropagation(nn.Module):
         ``edge_order``, edge_order).
 
         Under the fused kernel backend the level loop runs through
-        :func:`_fused_propagate` — the whole loop as one hand-written
-        multi-output tape node over shared state buffers; the composed
-        per-op path below is the reference (and the fallback for the
-        ``mlp`` LUT ablation).
+        :func:`_fused_propagate` — the shared net and cell steps
+        (:class:`PropagationSteps`) as one multi-output tape node over
+        shared state buffers; the composed per-op path below is the
+        reference (and the path of the ``mlp`` LUT ablation).
         """
-        if nn.kernels.is_fused() and self.cfg.lut_mode == "kron":
+        if nn.kernels.is_fused() and _runs_steps(self):
             h_prop, at, cell_delay, edge_order = _fused_propagate(
                 self, graph, h_emb)
         else:
             h_prop, at, cell_delay, edge_order = self._propagate(
                 graph, h_emb)
+        return self.heads(h_emb, h_prop, at), cell_delay, edge_order
+
+    def heads(self, h_emb, h_prop, at):
+        """Output heads over node rows: (rows, 8) refined arrival |
+        positive slew, from the embedding, context and arrival state."""
         state = nn.concat([h_emb, h_prop])
         arrival = at + self.refine_at(state)
         slew = self.slew_head(state, activation="softplus")
-        atslew = nn.concat([arrival, slew])
-        return atslew, cell_delay, edge_order
+        return nn.concat([arrival, slew])
 
     def _propagate(self, graph, h_emb):
         """Composed per-op level loop; returns (h_prop, at, cell_delay,
@@ -264,6 +268,12 @@ class DelayPropagation(nn.Module):
         return h_prop, at, cell_delay, edge_order
 
 
+def _runs_steps(model):
+    """True when the step driver can run ``model``: the paper's ``kron``
+    LUT mode (the ``mlp`` ablation runs only the composed path)."""
+    return isinstance(model.lut, LUTInterpolation)
+
+
 def _release_saved(alloc, saved):
     """Return one MLP chain's saved activations to the arena.
 
@@ -273,8 +283,6 @@ def _release_saved(alloc, saved):
     ``inputs[0]`` is the caller's buffer and ``inputs[k>0]`` alias
     ``outputs[k-1]``, so releasing those too would double-release.
     """
-    if saved is None:
-        return
     _inputs, outputs, out = saved
     for buf in outputs:
         alloc.release(buf)
@@ -282,51 +290,373 @@ def _release_saved(alloc, saved):
         alloc.release(out)
 
 
+def _take_rows(alloc, grad, index):
+    """Extract ``grad[index]`` into an arena buffer, then zero those rows:
+    a written row's pre-write value is the initial zero, whose gradient
+    is discarded (``scatter_rows``' mask)."""
+    rows = alloc.take((len(index), grad.shape[1]), grad.dtype)
+    grad.take(index, axis=0, out=rows)
+    grad[index] = 0.0
+    return rows
+
+
+class PropagationSteps:
+    """The net and cell propagation steps of one :class:`DelayPropagation`
+    over raw arrays, with their hand-ordered backwards.
+
+    Each step reads the pre-level state (``hp`` context, ``atb`` arrival
+    accumulator, ``he`` net embedding) through a level view — the cached
+    :class:`~repro.graphdata.hetero.LevelCompute` or a
+    :meth:`~repro.graphdata.hetero.LevelCompute.subset` of it — and
+    returns the new rows for the driver to write plus a record of every
+    buffer it took from ``alloc``.  With ``save`` the record keeps what
+    the step's backward reads; :meth:`release` returns a record's
+    buffers to the arena.
+
+    Every backward is built from the raw kernel gradients of
+    :mod:`repro.nn.kernels`, accumulates into the full-graph gradient
+    buffers ``ghp``/``gat``/``ghe``, and consumes (releases) the
+    gradients and the record handed to it.
+    """
+
+    def __init__(self, model, dtype, save, alloc):
+        cfg = model.cfg
+        self.m = model
+        self.dtype = dtype
+        self.save = save
+        self.alloc = alloc
+        self.d_prop, self.d_emb = cfg.prop_dim, cfg.embedding_dim
+        self.q_dim = cfg.lut_query_dim
+        self.reduction = model.reduction
+        self.gate = 1.0 / (1.0 + np.exp(-np.clip(model.agg_gate.data,
+                                                 -60, 60)))
+
+    def _mlp(self, h, mlp, out_act=None):
+        """``(out, kept)``: ``kept`` is the chain's saved activations
+        (``out`` is their last entry) or, without ``save``, ``out``."""
+        out, saved = nn.kernels.mlp_chain_forward_raw(
+            h, mlp.fused_steps(), out_act=out_act, save=self.save,
+            alloc=self.alloc)
+        return out, (out if saved is None else saved)
+
+    def _mlp_bwd(self, g, mlp, saved, out_act=None):
+        return nn.kernels.mlp_chain_backward_raw(
+            g, mlp.fused_steps(), saved, out_act=out_act, alloc=self.alloc)
+
+    def release(self, rec):
+        """Return every buffer of a step record to the arena."""
+        for item in rec.values():
+            if isinstance(item, tuple):
+                _release_saved(self.alloc, item)
+            elif item is not None:
+                self.alloc.release(item)
+
+    # -- forward -------------------------------------------------------------
+    def source(self, he, rows):
+        """Source initialisation from the net embedding: ``(ctx, at,
+        rec)`` for ``rows``."""
+        he_src = self.alloc.take((len(rows), he.shape[1]), self.dtype)
+        he.take(rows, axis=0, out=he_src)
+        ctx, s_ctx = self._mlp(he_src, self.m.source_init, "tanh")
+        at, s_at = self._mlp(he_src, self.m.source_at, "softplus")
+        return ctx, at, {"he_src": he_src, "s_ctx": s_ctx, "s_at": s_at}
+
+    def net(self, lv, hp, he, atb):
+        """Net propagation over ``lv``'s net edges: ``(ctx, at, rec)``
+        for the sinks ``lv.net_dst``."""
+        joint = nn.kernels.gather_concat_raw(
+            [hp, he, lv.net_features], [lv.net_src, lv.net_dst, None],
+            alloc=self.alloc)
+        ctx, s_ctx = self._mlp(joint, self.m.net_prop, "tanh")
+        inc, s_inc = self._mlp(joint, self.m.net_inc, "softplus")
+        at = self.alloc.take((len(lv.net_src), 4), self.dtype)
+        atb.take(lv.net_src, axis=0, out=at)
+        at += inc
+        return ctx, at, {"joint": joint, "s_ctx": s_ctx, "s_inc": s_inc,
+                         "at": at}
+
+    def cell(self, lv, hp, he, atb):
+        """Cell propagation over ``lv``'s cell fanin segments: ``(ctx,
+        at, rec, inc)`` — new rows for ``lv.cell_dst`` and the per-edge
+        arrival increment, which is the cell delay itself (Eq. 5)."""
+        kernels = nn.kernels
+        gcat = kernels.gather_concat_raw
+        alloc, dtype = self.alloc, self.dtype
+        e, q_dim, n_dst = len(lv.cell_src), self.q_dim, len(lv.cell_dst)
+        seg = lv.cell_seg_sched
+        rec = {}
+        rec["q_in"] = q_in = gcat([hp, he], [lv.cell_src, lv.cell_dst_edges],
+                                  alloc=alloc)
+        q, rec["s_q"] = self._mlp(q_in, self.m.lut.query, "tanh")
+        # The query expansion to one row per (edge, table) is a plain
+        # row repeat (and its gradient a reshape-sum).
+        q8 = alloc.take((e * 8, q_dim), dtype)
+        q8.reshape(e, 8, q_dim)[...] = q[:, None, :]
+        rec["ax_in"] = ax_in = gcat([q8, lv.lut_idx_x], [None, None],
+                                    alloc=alloc)
+        rec["ay_in"] = ay_in = gcat([q8, lv.lut_idx_y], [None, None],
+                                    alloc=alloc)
+        alloc.release(q8)
+        ax, rec["s_ax"] = self._mlp(ax_in, self.m.lut.coeff_x)
+        ay, rec["s_ay"] = self._mlp(ay_in, self.m.lut.coeff_y)
+        lut_out, rec["vy"] = kernels.lut_kron_forward_raw(
+            ax, ay, lv.lut_values, lv.cell_valid, alloc)
+        rec["msg_in"] = msg_in = gcat([q_in, lut_out], [None, None],
+                                      alloc=alloc)
+        msg, rec["s_msg"] = self._mlp(msg_in, self.m.cell_msg, "tanh")
+        rec["cinc_in"] = cinc_in = gcat([msg, lut_out], [None, None],
+                                        alloc=alloc)
+        alloc.release(lut_out)
+        inc, rec["s_cinc"] = self._mlp(cinc_in, self.m.cell_inc, "softplus")
+        rec["cand"] = cand = alloc.take((e, 4), dtype)
+        atb.take(lv.cell_src, axis=0, out=cand)
+        cand += inc
+        # One-pass fanin reduction: late corners max-reduced, early
+        # corners min-reduced, mixed by the learned gate.
+        at, rec["out_max"], rec["out_min"] = kernels.segment_minmax_gate_raw(
+            cand, seg, n_dst, self.gate, alloc)
+        rec["at"] = at
+        aggs = []
+        if self.reduction in ("sum", "both"):
+            agg = alloc.take((n_dst, self.d_prop), dtype, zero=True)
+            kernels.scatter_add_rows(agg, lv.cell_seg, msg, schedule=seg,
+                                     alloc=alloc)
+            aggs.append(agg)
+        rec["agg_max"] = None
+        if self.reduction in ("max", "both"):
+            rec["agg_max"] = kernels.segment_extrema_raw(
+                msg, seg, n_dst, np.maximum, alloc=alloc)
+            aggs.append(rec["agg_max"])
+        rec["comb_in"] = comb_in = gcat(
+            [he] + aggs, [lv.cell_dst] + [None] * len(aggs), alloc=alloc)
+        if self.reduction in ("sum", "both"):
+            alloc.release(aggs[0])
+        ctx, rec["s_comb"] = self._mlp(comb_in, self.m.cell_combine, "tanh")
+        return ctx, at, rec, inc
+
+    # -- backward ------------------------------------------------------------
+    def source_backward(self, rows, rec, ghp, gat, ghe):
+        g_ctx = _take_rows(self.alloc, ghp, rows)
+        g_src = self._mlp_bwd(g_ctx, self.m.source_init, rec["s_ctx"],
+                              "tanh")
+        g_at = _take_rows(self.alloc, gat, rows)
+        g_src2 = self._mlp_bwd(g_at, self.m.source_at, rec["s_at"],
+                               "softplus")
+        g_src += g_src2
+        ghe[rows] += g_src
+        self.alloc.release_all((g_ctx, g_at, g_src, g_src2))
+        self.release(rec)
+
+    def net_backward(self, lv, rec, ghp, gat, ghe):
+        scatter_add = nn.kernels.scatter_add_rows
+        alloc, d_prop = self.alloc, self.d_prop
+        g_ctx = _take_rows(alloc, ghp, lv.net_dst)
+        g_at = _take_rows(alloc, gat, lv.net_dst)
+        scatter_add(gat, lv.net_src, g_at, schedule=lv.net_src_sched,
+                    alloc=alloc)
+        g_joint = self._mlp_bwd(g_ctx, self.m.net_prop, rec["s_ctx"], "tanh")
+        g_j2 = self._mlp_bwd(g_at, self.m.net_inc, rec["s_inc"], "softplus")
+        g_joint += g_j2
+        alloc.release_all((g_j2, g_ctx, g_at))
+        scatter_add(ghp, lv.net_src, g_joint[:, :d_prop],
+                    schedule=lv.net_src_sched, alloc=alloc)
+        # Each net sink has exactly one driver: unique rows.
+        ghe[lv.net_dst] += g_joint[:, d_prop:d_prop + self.d_emb]
+        alloc.release(g_joint)
+        self.release(rec)
+
+    def cell_backward(self, lv, rec, g_inc, ghp, gat, ghe, g_gate):
+        """``g_inc`` is the cell-delay output gradient of the level's
+        edges (or None); ``g_gate`` accumulates the gate's pre-sigmoid
+        gradient sum."""
+        kernels, m, mlp_bwd = nn.kernels, self.m, self._mlp_bwd
+        alloc, dtype = self.alloc, self.dtype
+        d_prop, d_emb, q_dim = self.d_prop, self.d_emb, self.q_dim
+        seg = lv.cell_seg_sched
+        e = len(lv.cell_eids)
+        g_ctx = _take_rows(alloc, ghp, lv.cell_dst)
+        g_at = _take_rows(alloc, gat, lv.cell_dst)
+        # combine MLP <- [h_emb(dst) | reduction channels].
+        g_comb = mlp_bwd(g_ctx, m.cell_combine, rec["s_comb"], "tanh")
+        alloc.release(g_ctx)
+        ghe[lv.cell_dst] += g_comb[:, :d_emb]
+        col = d_emb
+        g_msg = None
+        if self.reduction in ("sum", "both"):
+            g_msg = alloc.take((e, d_prop), dtype)
+            g_comb[:, col:col + d_prop].take(lv.cell_seg, axis=0, out=g_msg)
+            col += d_prop
+        if self.reduction in ("max", "both"):
+            part = kernels.segment_extrema_backward_raw(
+                rec["s_msg"][2], rec["agg_max"], g_comb[:, col:col + d_prop],
+                seg, alloc)
+            if g_msg is None:
+                g_msg = part
+            else:
+                g_msg += part
+                alloc.release(part)
+        alloc.release(g_comb)
+        g_cand, g_gate_part = kernels.segment_minmax_gate_backward_raw(
+            g_at, rec["cand"], rec["out_max"], rec["out_min"], self.gate,
+            seg, alloc)
+        g_gate += g_gate_part
+        alloc.release(g_at)
+        kernels.scatter_add_rows(gat, lv.cell_src, g_cand,
+                                 schedule=lv.cell_src_sched, alloc=alloc)
+        if g_inc is not None:
+            g_cand += g_inc
+        # cell_inc MLP <- [msg | lut_out].
+        g_ci = mlp_bwd(g_cand, m.cell_inc, rec["s_cinc"], "softplus")
+        alloc.release(g_cand)
+        g_msg += g_ci[:, :d_prop]
+        # cell_msg MLP <- [h_s | h_d | lut_out].
+        g_mi = mlp_bwd(g_msg, m.cell_msg, rec["s_msg"], "tanh")
+        alloc.release(g_msg)
+        g_lut = alloc.take((e, 8), dtype)
+        np.add(g_ci[:, d_prop:], g_mi[:, d_prop + d_emb:], out=g_lut)
+        alloc.release(g_ci)
+        g_ax, g_ay = kernels.lut_kron_backward_raw(
+            g_lut, rec["s_ax"][2], rec["vy"], lv.lut_values, lv.cell_valid,
+            alloc)
+        alloc.release(g_lut)
+        g_axi = mlp_bwd(g_ax, m.lut.coeff_x, rec["s_ax"])
+        g_ayi = mlp_bwd(g_ay, m.lut.coeff_y, rec["s_ay"])
+        alloc.release_all((g_ax, g_ay))
+        g_q8 = alloc.take((e * 8, q_dim), dtype)
+        np.add(g_axi[:, :q_dim], g_ayi[:, :q_dim], out=g_q8)
+        alloc.release_all((g_axi, g_ayi))
+        g_q = alloc.take((e, q_dim), dtype)
+        np.add.reduce(g_q8.reshape(e, 8, q_dim), axis=1, out=g_q)
+        alloc.release(g_q8)
+        g_qi = mlp_bwd(g_q, m.lut.query, rec["s_q"], "tanh")
+        alloc.release(g_q)
+        # q_in and msg_in share the [h_s | h_d] prefix.
+        g_hs = alloc.take((e, d_prop), dtype)
+        np.add(g_qi[:, :d_prop], g_mi[:, :d_prop], out=g_hs)
+        g_hd = alloc.take((e, d_emb), dtype)
+        np.add(g_qi[:, d_prop:], g_mi[:, d_prop:d_prop + d_emb], out=g_hd)
+        alloc.release_all((g_qi, g_mi))
+        kernels.scatter_add_rows(ghp, lv.cell_src, g_hs,
+                                 schedule=lv.cell_src_sched, alloc=alloc)
+        kernels.scatter_add_rows(ghe, lv.cell_dst_edges, g_hd,
+                                 schedule=lv.cell_dst_sched, alloc=alloc)
+        alloc.release_all((g_hs, g_hd))
+        self.release(rec)
+
+
+def propagate_levels(steps, sched, he, hp, atb, sources, cell_delay,
+                     frontier):
+    """The step driver: run the source, net and cell steps level by level.
+
+    Writes the new rows into ``hp``/``atb`` in place.  Every node is
+    written at exactly one level and read only at later ones, and each
+    level's writes land after both of its steps have read the pre-level
+    state.  Three modes:
+
+    * **record** (``steps.save``): returns the step records that
+      :func:`reverse_levels` sweeps backwards;
+    * **no-grad full forward**: every level, each level's buffers
+      released once its rows are written;
+    * **dirty frontier**: ``frontier.view(lv)`` returns the level view
+      to recompute (a subset, or None to skip the level) and each write
+      is bit-compared against the cached row, marking
+      ``frontier.node_dirty`` only where the state moved — so the
+      frontier stops at unchanged rows.  ``frontier`` is None otherwise.
+
+    ``cell_delay`` (or None) receives the per-edge cell delays in level
+    order.
+    """
+    save = steps.save
+
+    def write(index, ctx, at, rec):
+        if frontier is not None:
+            changed = (np.any(ctx != hp[index], axis=1) |
+                       np.any(at != atb[index], axis=1))
+            frontier.node_dirty[index[changed]] = True
+        hp[index] = ctx
+        atb[index] = at
+        if not save:
+            steps.release(rec)
+        return rec
+
+    src_rec = None
+    if len(sources):
+        src_rec = write(sources, *steps.source(he, sources))
+
+    recs = []
+    chunk = 0
+    for lv in sched.levels:
+        view = lv if frontier is None else frontier.view(lv)
+        if view is None:
+            continue
+        net = cell = None
+        if len(view.net_eids):
+            net = steps.net(view, hp, he, atb)
+        lo = chunk
+        if len(view.cell_eids):
+            cell = steps.cell(view, hp, he, atb)
+            chunk += len(view.cell_eids)
+            if cell_delay is not None:
+                cell_delay[lo:chunk] = cell[3]
+        # Writes after both steps' reads; net sinks and cell outputs are
+        # disjoint rows.
+        net_rec = cell_rec = None
+        if net is not None:
+            net_rec = write(view.net_dst, *net)
+        if cell is not None:
+            cell_rec = write(view.cell_dst, *cell[:3])
+        if save:
+            recs.append((net_rec, cell_rec, lo))
+    return (src_rec, recs) if save else None
+
+
+def reverse_levels(steps, sched, record, ghp, gat, ghe, g_gate, g_cd):
+    """Reverse sweep of a recorded :func:`propagate_levels` pass.
+
+    ``ghp``/``gat`` hold the output gradients of the context and arrival
+    state (consumed level by level); parameter gradients accumulate in
+    place, the ``h_emb`` gradient into ``ghe`` and the gate's into
+    ``g_gate``.  ``g_cd`` is the cell-delay output gradient, or None.
+    """
+    src_rec, recs = record
+    for lv, (net_rec, cell_rec, lo) in zip(reversed(sched.levels),
+                                           reversed(recs)):
+        # Cell sources lie at earlier levels than the net sinks, so the
+        # cell backward leaves the net rows' gradients untouched.
+        if cell_rec is not None:
+            g_inc = (None if g_cd is None
+                     else g_cd[lo:lo + len(lv.cell_eids)])
+            steps.cell_backward(lv, cell_rec, g_inc, ghp, gat, ghe, g_gate)
+        if net_rec is not None:
+            steps.net_backward(lv, net_rec, ghp, gat, ghe)
+    if src_rec is not None:
+        steps.source_backward(sched.sources, src_rec, ghp, gat, ghe)
+
+
 def _fused_propagate(model, graph, h_emb):
     """Level-fused propagation: the whole loop as ONE fused tape node.
 
-    The composed path creates tens of tape nodes per topological level
-    (gathers, concats, MLP chains, segment reductions, functional
-    scatters), and deep designs have hundreds of levels — the tape
-    bookkeeping (node allocation, gradient buffer copies, full-width
-    scatter masks) ends up rivalling the arithmetic.  This kernel
-    hand-writes the forward and backward sweeps over two shared state
-    buffers (``h_prop`` and the arrival accumulator), exploiting the
-    schedule's write-once invariant — every node is written at exactly
-    one level and read only at later levels — so the forward updates
-    one ``(N, d)`` buffer in place instead of copying it per level, and
-    the backward keeps ONE gradient buffer per state, extracting each
-    level's written rows (then zeroing them) and scatter-adding gather
-    gradients while sweeping levels in reverse.
+    The composed path creates tens of tape nodes per topological level,
+    and deep designs have hundreds of levels, so the tape bookkeeping
+    rivals the arithmetic.  Here :func:`propagate_levels` updates two
+    shared state buffers in place, and one backward closure runs
+    :func:`reverse_levels` with ONE gradient buffer per state.
 
-    All tape intermediates come from the graph schedule's
-    :class:`~repro.nn.arena.TapeArena` when one is free (the forward
-    leases it for the episode; the backward releases buffers level by
-    level as their last read passes and ends the lease), so steady-state
-    training reruns the whole pass with zero fresh allocations.  Buffers
-    that escape the mega-op — the ``h_prop``/arrival outputs, the cell
-    delays, parameter gradients and the ``h_emb`` gradient — are always
-    freshly allocated.  Everything runs in ``h_emb``'s dtype (the
-    :func:`repro.nn.dtype.active_dtype` policy).
+    Intermediates come from the graph schedule's
+    :class:`~repro.nn.arena.TapeArena` when it is free (leased for the
+    forward + backward episode), so steady-state training allocates
+    nothing fresh; buffers that escape (outputs, parameter and
+    ``h_emb`` gradients) are always fresh.  Runs in ``h_emb``'s dtype
+    and matches the composed path within the fused==naive contract.
 
-    Numerically equivalent to the composed graph within the
-    fused==naive contract (only floating-point summation order
-    differs); the full-model differential test pins the backends
-    together.  Used for the paper's ``kron`` LUT mode; other
-    configurations fall back to the composed path.
-
-    Returns ``(h_prop, at, cell_delay, edge_order)`` where the first
-    three are tensors produced by glue nodes around one shared backward
-    closure (the closure fires once all output gradients are in).
+    Returns ``(h_prop, at, cell_delay, edge_order)``; the first three
+    are glue nodes around the shared backward closure, which fires once
+    all output gradients are in.
     """
-    kernels = nn.kernels
-    cfg = model.cfg
     he = h_emb.data
     dtype = he.dtype
     sched = graph.compute_schedule(dtype=dtype)
     n = graph.num_nodes
-    d_prop, d_emb, q_dim = cfg.prop_dim, cfg.embedding_dim, cfg.lut_query_dim
-    reduction = model.reduction
     save = nn.is_grad_enabled()
 
     plan = token = None
@@ -334,391 +664,46 @@ def _fused_propagate(model, graph, h_emb):
         plan = sched.arena("train" if save else "infer")
         token = plan.begin()
     alloc = plan if token is not None else NULL_ARENA
-
-    st_init = model.source_init.fused_steps()
-    st_at0 = model.source_at.fused_steps()
-    st_net_prop = model.net_prop.fused_steps()
-    st_net_inc = model.net_inc.fused_steps()
-    st_query = model.lut.query.fused_steps()
-    st_cx = model.lut.coeff_x.fused_steps()
-    st_cy = model.lut.coeff_y.fused_steps()
-    st_msg = model.cell_msg.fused_steps()
-    st_cinc = model.cell_inc.fused_steps()
-    st_comb = model.cell_combine.fused_steps()
-
-    mlp_fwd = kernels.mlp_chain_forward_raw
-    mlp_bwd = kernels.mlp_chain_backward_raw
-    gcat = kernels.gather_concat_raw
-    extrema = kernels.segment_extrema_raw
-    scatter_add = kernels.scatter_add_rows
-
-    gate = 1.0 / (1.0 + np.exp(-np.clip(model.agg_gate.data, -60, 60)))
-    gate_c = 1.0 - gate
+    steps = PropagationSteps(model, dtype, save, alloc)
 
     # Outputs escape the mega-op as tensor data: always fresh.
-    hp = np.zeros((n, d_prop), dtype=dtype)
+    hp = np.zeros((n, model.cfg.prop_dim), dtype=dtype)
     atb = np.zeros((n, 4), dtype=dtype)
-    n_cell = sum(len(lv.cell_eids) for lv in sched.levels)
-    cell_delay = np.zeros((n_cell, 4), dtype=dtype)
-
-    sources = sched.sources
-    s_init = s_at0 = None
-    src_bufs = []
-    if len(sources):
-        he_src = alloc.take((len(sources), he.shape[1]), dtype)
-        he.take(sources, axis=0, out=he_src)
-        init_out, s_init = mlp_fwd(he_src, st_init, out_act="tanh",
-                                   save=save, alloc=alloc)
-        at0_out, s_at0 = mlp_fwd(he_src, st_at0, out_act="softplus",
-                                 save=save, alloc=alloc)
-        hp[sources] = init_out
-        atb[sources] = at0_out
-        if save:
-            src_bufs.append(he_src)
-        else:
-            alloc.release_all((he_src, init_out, at0_out))
-
-    recs = []
-    delay_orders = []
-    chunk_off = 0
-    for lv in sched.levels:
-        rec = {}
-        bufs = []            # arena buffers whose last read is this
-        # level's backward sweep (released there, or now under no_grad)
-        net_ctx = net_at = cell_ctx = cell_at = None
-        if len(lv.net_eids):
-            joint = gcat([hp, he, lv.net_features],
-                         [lv.net_src, lv.net_dst, None], alloc=alloc)
-            bufs.append(joint)
-            net_ctx, rec["s_nctx"] = mlp_fwd(joint, st_net_prop,
-                                             out_act="tanh", save=save,
-                                             alloc=alloc)
-            inc_net, rec["s_ninc"] = mlp_fwd(joint, st_net_inc,
-                                             out_act="softplus", save=save,
-                                             alloc=alloc)
-            net_at = alloc.take((len(lv.net_eids), 4), dtype)
-            atb.take(lv.net_src, axis=0, out=net_at)
-            net_at += inc_net
-            if not save:
-                bufs.extend((net_ctx, inc_net))
-        if len(lv.cell_eids):
-            e = len(lv.cell_eids)
-            q_in = gcat([hp, he], [lv.cell_src, lv.cell_dst_edges],
-                        alloc=alloc)
-            bufs.append(q_in)
-            q, rec["s_q"] = mlp_fwd(q_in, st_query, out_act="tanh",
-                                    save=save, alloc=alloc)
-            # lut_rep is np.repeat(arange(e), 8), so the query expansion
-            # is a plain row repeat (and its gradient a reshape-sum).
-            q8 = alloc.take((e * 8, q_dim), dtype)
-            q8.reshape(e, 8, q_dim)[...] = q[:, None, :]
-            if not save:
-                alloc.release(q)
-            ax_in = gcat([q8, lv.lut_idx_x], [None, None], alloc=alloc)
-            ay_in = gcat([q8, lv.lut_idx_y], [None, None], alloc=alloc)
-            alloc.release(q8)
-            bufs.extend((ax_in, ay_in))
-            ax, rec["s_ax"] = mlp_fwd(ax_in, st_cx, save=save, alloc=alloc)
-            ay, rec["s_ay"] = mlp_fwd(ay_in, st_cy, save=save, alloc=alloc)
-            v3 = lv.lut_values.reshape(-1, 7, 7)
-            vy = alloc.take((e * 8, 7), dtype)
-            np.matmul(v3, ay[:, :, None], out=vy[:, :, None])
-            if save:
-                rec["vy"] = vy
-            bufs.append(vy)
-            dot = alloc.take((e * 8,), dtype)
-            np.einsum("ij,ij->i", ax, vy, out=dot)
-            lut_out = alloc.take((e, 8), dtype)
-            np.multiply(dot.reshape(e, 8), lv.cell_valid, out=lut_out)
-            alloc.release(dot)
-            if not save:
-                alloc.release_all((ax, ay))
-            msg_in = gcat([q_in, lut_out], [None, None], alloc=alloc)
-            bufs.append(msg_in)
-            msg, rec["s_msg"] = mlp_fwd(msg_in, st_msg, out_act="tanh",
-                                        save=save, alloc=alloc)
-            cinc_in = gcat([msg, lut_out], [None, None], alloc=alloc)
-            alloc.release(lut_out)
-            bufs.append(cinc_in)
-            inc, rec["s_cinc"] = mlp_fwd(cinc_in, st_cinc,
-                                         out_act="softplus", save=save,
-                                         alloc=alloc)
-            cell_delay[chunk_off:chunk_off + e] = inc
-            delay_orders.append(lv.cell_eids)
-            rec["chunk"] = (chunk_off, chunk_off + e)
-            chunk_off += e
-            cand = alloc.take((e, 4), dtype)
-            atb.take(lv.cell_src, axis=0, out=cand)
-            cand += inc
-            if not save:
-                alloc.release(inc)
-            bufs.append(cand)
-            seg = lv.cell_seg_sched
-            n_dst = len(lv.cell_dst)
-            out_max = extrema(cand, seg, n_dst, np.maximum, alloc=alloc)
-            out_min = extrema(cand, seg, n_dst, np.minimum, alloc=alloc)
-            if save:
-                rec["cand"] = cand
-                rec["out_max"] = out_max
-                rec["out_min"] = out_min
-            bufs.extend((out_max, out_min))
-            cell_at = alloc.take((n_dst, 4), dtype)
-            np.multiply(out_max, gate, out=cell_at)
-            t_min = alloc.take((n_dst, 4), dtype)
-            np.multiply(out_min, gate_c, out=t_min)
-            cell_at += t_min
-            alloc.release(t_min)
-            aggs = []
-            if reduction in ("sum", "both"):
-                agg = alloc.take((n_dst, d_prop), dtype, zero=True)
-                scatter_add(agg, lv.cell_seg, msg, schedule=seg,
-                            alloc=alloc)
-                aggs.append(agg)
-            if reduction in ("max", "both"):
-                agg_max = extrema(msg, seg, n_dst, np.maximum, alloc=alloc)
-                aggs.append(agg_max)
-                if save:
-                    rec["agg_max"] = agg_max
-                bufs.append(agg_max)
-            if not save:
-                alloc.release(msg)
-            comb_in = gcat([he] + aggs, [lv.cell_dst] + [None] * len(aggs),
-                           alloc=alloc)
-            if reduction in ("sum", "both"):
-                alloc.release(aggs[0])
-            bufs.append(comb_in)
-            cell_ctx, rec["s_comb"] = mlp_fwd(comb_in, st_comb,
-                                              out_act="tanh", save=save,
-                                              alloc=alloc)
-            if not save:
-                bufs.append(cell_ctx)
-        # Writes after both branches' reads: level-L gathers always see
-        # the pre-level state, exactly like the composed scatter_rows.
-        if net_ctx is not None:
-            hp[lv.net_dst] = net_ctx
-            atb[lv.net_dst] = net_at
-            alloc.release(net_at)
-        if cell_ctx is not None:
-            hp[lv.cell_dst] = cell_ctx
-            atb[lv.cell_dst] = cell_at
-            alloc.release(cell_at)
-        if save:
-            rec["bufs"] = bufs
-        else:
-            alloc.release_all(bufs)
-        recs.append(rec)
-
-    if delay_orders:
-        edge_order = np.concatenate(delay_orders)
-    else:
-        edge_order = np.zeros(0, dtype=np.int64)
-
+    cell_eids = [lv.cell_eids for lv in sched.levels]
+    edge_order = (np.concatenate(cell_eids) if cell_eids
+                  else np.zeros(0, dtype=np.int64))
+    cell_delay = np.zeros((len(edge_order), 4), dtype=dtype)
+    record = propagate_levels(steps, sched, he, hp, atb, sched.sources,
+                              cell_delay, None)
     if not save and token is not None:
         plan.end(token)
 
     # -- backward: one closure consuming all three output gradients ----------
     holder = {}
 
-    def _tie_grad(values, extrema_out, g_rows, seg, alloc):
-        """Tie-splitting extrema gradient: ``mask * (g / counts)[ids]``.
-
-        Returns an arena-owned ``values``-shaped buffer; ``g_rows`` is a
-        per-segment gradient (read-only).
-        """
-        gath = alloc.take(values.shape, values.dtype)
-        extrema_out.take(seg.ids, axis=0, out=gath)
-        mask = alloc.take(values.shape, values.dtype)
-        np.equal(values, gath, out=mask)      # bool -> float is safe
-        counts = alloc.take(extrema_out.shape, extrema_out.dtype,
-                            zero=True)
-        scatter_add(counts, seg.ids, mask, schedule=seg, alloc=alloc)
-        np.maximum(counts, 1.0, out=counts)
-        np.divide(g_rows, counts, out=counts)
-        counts.take(seg.ids, axis=0, out=gath)
-        mask *= gath
-        alloc.release_all((gath, counts))
-        return mask
-
     def mega_backward(_g):
-        g_cd = holder.pop("cd", None)
-        g_hp_seed = holder.pop("hp", None)
-        g_at_seed = holder.pop("at", None)
-        ghp = alloc.take((n, d_prop), dtype, zero=g_hp_seed is None)
-        if g_hp_seed is not None:
-            np.copyto(ghp, g_hp_seed)
-        gat = alloc.take((n, 4), dtype, zero=g_at_seed is None)
-        if g_at_seed is not None:
-            np.copyto(gat, g_at_seed)
+        ghp, gat = alloc.take(hp.shape, dtype), alloc.take(atb.shape, dtype)
+        for buf, key in ((ghp, "hp"), (gat, "at")):
+            seed = holder.pop(key, None)
+            buf[...] = 0.0 if seed is None else seed
         # h_emb's gradient and the gate gradient escape: always fresh.
         ghe = np.zeros_like(he)
         g_gate = np.zeros_like(model.agg_gate.data)
-        for lv, rec in zip(reversed(sched.levels), reversed(recs)):
-            has_net = "s_nctx" in rec
-            has_cell = "s_q" in rec
-            # Extract the gradients of this level's written rows, then
-            # clear them: the rows' pre-write values are the initial
-            # zeros, whose gradient is discarded (scatter_rows' mask).
-            if has_net:
-                g_nctx = alloc.take((len(lv.net_eids), d_prop), dtype)
-                ghp.take(lv.net_dst, axis=0, out=g_nctx)
-                g_nat = alloc.take((len(lv.net_eids), 4), dtype)
-                gat.take(lv.net_dst, axis=0, out=g_nat)
-                ghp[lv.net_dst] = 0.0
-                gat[lv.net_dst] = 0.0
-            if has_cell:
-                n_dst = len(lv.cell_dst)
-                g_cctx = alloc.take((n_dst, d_prop), dtype)
-                ghp.take(lv.cell_dst, axis=0, out=g_cctx)
-                g_cat = alloc.take((n_dst, 4), dtype)
-                gat.take(lv.cell_dst, axis=0, out=g_cat)
-                ghp[lv.cell_dst] = 0.0
-                gat[lv.cell_dst] = 0.0
-            if has_cell:
-                seg = lv.cell_seg_sched
-                e = len(lv.cell_eids)
-                msg = rec["s_msg"][2]
-                # combine MLP <- [h_emb(dst) | reduction channels].
-                g_comb = mlp_bwd(g_cctx, st_comb, rec["s_comb"],
-                                 out_act="tanh", alloc=alloc)
-                alloc.release(g_cctx)
-                ghe[lv.cell_dst] += g_comb[:, :d_emb]
-                col = d_emb
-                g_msg = None
-                if reduction in ("sum", "both"):
-                    g_msg = alloc.take((e, d_prop), dtype)
-                    g_comb[:, col:col + d_prop].take(lv.cell_seg,
-                            axis=0, out=g_msg)
-                    col += d_prop
-                if reduction in ("max", "both"):
-                    part = _tie_grad(msg, rec["agg_max"],
-                                     g_comb[:, col:col + d_prop], seg,
-                                     alloc)
-                    if g_msg is None:
-                        g_msg = part
-                    else:
-                        g_msg += part
-                        alloc.release(part)
-                    col += d_prop
-                alloc.release(g_comb)
-                # Late/early min-max gate (tie-splitting, as naive).
-                cand, out_max, out_min = (rec["cand"], rec["out_max"],
-                                          rec["out_min"])
-                t = alloc.take(out_max.shape, dtype)
-                np.subtract(out_max, out_min, out=t)
-                t *= g_cat
-                g_gate += t.sum(axis=0)
-                np.multiply(g_cat, gate, out=t)
-                g_cand = _tie_grad(cand, out_max, t, seg, alloc)
-                np.multiply(g_cat, gate_c, out=t)
-                part = _tie_grad(cand, out_min, t, seg, alloc)
-                g_cand += part
-                alloc.release_all((part, t, g_cat))
-                scatter_add(gat, lv.cell_src, g_cand,
-                            schedule=lv.cell_src_sched, alloc=alloc)
-                if g_cd is not None:
-                    lo, hi = rec["chunk"]
-                    g_cand += g_cd[lo:hi]
-                # cell_inc MLP <- [msg | lut_out].
-                g_ci = mlp_bwd(g_cand, st_cinc, rec["s_cinc"],
-                               out_act="softplus", alloc=alloc)
-                alloc.release(g_cand)
-                g_msg += g_ci[:, :d_prop]
-                # cell_msg MLP <- [h_s | h_d | lut_out].
-                g_mi = mlp_bwd(g_msg, st_msg, rec["s_msg"], out_act="tanh",
-                               alloc=alloc)
-                alloc.release(g_msg)
-                g_lut = alloc.take((e, 8), dtype)
-                np.add(g_ci[:, d_prop:], g_mi[:, d_prop + d_emb:],
-                       out=g_lut)
-                alloc.release(g_ci)
-                # LUT interpolation: out = ax . (V @ ay) per row.
-                g_lut *= lv.cell_valid
-                gv = g_lut.reshape(-1, 1)
-                ax = rec["s_ax"][2]
-                v3 = lv.lut_values.reshape(-1, 7, 7)
-                g_ax = alloc.take((e * 8, 7), dtype)
-                np.multiply(rec["vy"], gv, out=g_ax)
-                g_ay = alloc.take((e * 8, 7), dtype)
-                np.matmul(ax[:, None, :], v3, out=g_ay[:, None, :])
-                g_ay *= gv
-                alloc.release(g_lut)
-                g_axi = mlp_bwd(g_ax, st_cx, rec["s_ax"], alloc=alloc)
-                g_ayi = mlp_bwd(g_ay, st_cy, rec["s_ay"], alloc=alloc)
-                alloc.release_all((g_ax, g_ay))
-                g_q8 = alloc.take((e * 8, q_dim), dtype)
-                np.add(g_axi[:, :q_dim], g_ayi[:, :q_dim], out=g_q8)
-                alloc.release_all((g_axi, g_ayi))
-                g_q = alloc.take((e, q_dim), dtype)
-                np.add.reduce(g_q8.reshape(e, 8, q_dim), axis=1, out=g_q)
-                alloc.release(g_q8)
-                g_qi = mlp_bwd(g_q, st_query, rec["s_q"], out_act="tanh",
-                               alloc=alloc)
-                alloc.release(g_q)
-                # q_in and msg_in share the [h_s | h_d] prefix.
-                g_hs = alloc.take((e, d_prop), dtype)
-                np.add(g_qi[:, :d_prop], g_mi[:, :d_prop], out=g_hs)
-                g_hd = alloc.take((e, d_emb), dtype)
-                np.add(g_qi[:, d_prop:], g_mi[:, d_prop:d_prop + d_emb],
-                       out=g_hd)
-                alloc.release_all((g_qi, g_mi))
-                scatter_add(ghp, lv.cell_src, g_hs,
-                            schedule=lv.cell_src_sched, alloc=alloc)
-                scatter_add(ghe, lv.cell_dst_edges, g_hd,
-                            schedule=lv.cell_dst_sched, alloc=alloc)
-                alloc.release_all((g_hs, g_hd))
-                for key in ("s_q", "s_ax", "s_ay", "s_msg", "s_cinc",
-                            "s_comb"):
-                    _release_saved(alloc, rec[key])
-            if has_net:
-                scatter_add(gat, lv.net_src, g_nat,
-                            schedule=lv.net_src_sched, alloc=alloc)
-                g_joint = mlp_bwd(g_nctx, st_net_prop, rec["s_nctx"],
-                                  out_act="tanh", alloc=alloc)
-                g_j2 = mlp_bwd(g_nat, st_net_inc, rec["s_ninc"],
-                               out_act="softplus", alloc=alloc)
-                g_joint += g_j2
-                alloc.release_all((g_j2, g_nctx, g_nat))
-                scatter_add(ghp, lv.net_src, g_joint[:, :d_prop],
-                            schedule=lv.net_src_sched, alloc=alloc)
-                # Each net sink has exactly one driver: unique rows.
-                ghe[lv.net_dst] += g_joint[:, d_prop:d_prop + d_emb]
-                alloc.release(g_joint)
-                _release_saved(alloc, rec["s_nctx"])
-                _release_saved(alloc, rec["s_ninc"])
-            alloc.release_all(rec.pop("bufs", ()))
-        if len(sources):
-            g_si = alloc.take((len(sources), d_prop), dtype)
-            ghp.take(sources, axis=0, out=g_si)
-            g_src = mlp_bwd(g_si, st_init, s_init, out_act="tanh",
-                            alloc=alloc)
-            g_sa = alloc.take((len(sources), 4), dtype)
-            gat.take(sources, axis=0, out=g_sa)
-            g_s2 = mlp_bwd(g_sa, st_at0, s_at0, out_act="softplus",
-                           alloc=alloc)
-            g_src += g_s2
-            ghe[sources] += g_src
-            alloc.release_all((g_si, g_sa, g_src, g_s2))
-            _release_saved(alloc, s_init)
-            _release_saved(alloc, s_at0)
-            alloc.release_all(src_bufs)
+        reverse_levels(steps, sched, record, ghp, gat, ghe, g_gate,
+                       holder.pop("cd", None))
         alloc.release_all((ghp, gat))
         if token is not None:
             plan.end(token)
         if model.agg_gate.requires_grad:
+            gate = steps.gate
             model.agg_gate._accumulate(g_gate * gate * (1.0 - gate),
                                        own=True)
         if h_emb.requires_grad:
             h_emb._accumulate(ghe, own=True)
 
-    params = [h_emb, model.agg_gate]
-    for st in (st_init, st_at0, st_net_prop, st_net_inc, st_query, st_cx,
-               st_cy, st_msg, st_cinc, st_comb):
-        for w, b, _act in st:
-            params.append(w)
-            if b is not None:
-                params.append(b)
-    root = nn.Tensor._make(np.zeros((), dtype=dtype), tuple(params),
-                           mega_backward)
+    # The heads' parameters ride along as untouched leaf parents.
+    root = nn.Tensor._make(np.zeros((), dtype=dtype),
+                           (h_emb, *model.parameters()), mega_backward)
     if save and token is not None:
         # If the tape is abandoned (never backpropagated), recover the
         # arena lease when the root dies; end() is idempotent per token,

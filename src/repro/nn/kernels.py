@@ -47,8 +47,11 @@ __all__ = ["BACKENDS", "backend", "kernel_backend", "is_fused",
            "mlp_chain_backward_raw", "gather_concat", "gather_concat_raw",
            "gather_rows_csr",
            "segment_sum_csr", "segment_max_csr", "segment_minmax_csr",
-           "gather_add_csr", "lut_kron_combine_csr",
-           "segment_minmax_gate_csr", "scatter_add_rows"]
+           "segment_extrema_raw", "segment_extrema_backward_raw",
+           "gather_add_csr", "lut_kron_forward_raw", "lut_kron_backward_raw",
+           "lut_kron_combine_csr", "segment_minmax_gate_raw",
+           "segment_minmax_gate_backward_raw", "segment_minmax_gate_csr",
+           "scatter_add_rows"]
 
 BACKENDS = ("fused", "naive")
 
@@ -544,26 +547,46 @@ def segment_extrema_raw(data, sched, num_segments, ufunc, alloc=None):
     return out
 
 
-def _extrema_backward(a, sched, out):
-    """Tie-splitting gradient for a segment max/min, CSR-accelerated."""
-    mask = (a.data == out[sched.ids]).astype(a.data.dtype)
-    counts = np.zeros_like(out)
-    scatter_add_rows(counts, sched.ids, mask, schedule=sched)
+def segment_extrema_backward_raw(values, extrema_out, g, sched, alloc):
+    """Tie-splitting gradient of a segment max/min over raw arrays.
+
+    Each segment's gradient row ``g`` is split evenly between the rows
+    of ``values`` that attain the segment's extremum ``extrema_out``:
+    ``mask * (g / counts)[ids]``.  The returned ``values``-shaped
+    buffer and the scratch come from ``alloc`` (a
+    :class:`repro.nn.arena.TapeArena` or ``NULL_ARENA``); the caller
+    owns the result.
+    """
+    gath = alloc.take(values.shape, values.dtype)
+    extrema_out.take(sched.ids, axis=0, out=gath)
+    mask = alloc.take(values.shape, values.dtype)
+    np.equal(values, gath, out=mask)      # bool -> float is safe
+    counts = alloc.take(extrema_out.shape, extrema_out.dtype, zero=True)
+    scatter_add_rows(counts, sched.ids, mask, schedule=sched, alloc=alloc)
+    np.maximum(counts, 1.0, out=counts)
+    np.divide(g, counts, out=counts)
+    counts.take(sched.ids, axis=0, out=gath)
+    mask *= gath
+    alloc.release_all((gath, counts))
+    return mask
+
+
+def _extrema_node(a, sched, out):
+    """Tape node for one segment extremum of ``a``."""
 
     def backward(g):
         if a.requires_grad:
-            denom = np.maximum(counts, 1.0)
-            a._accumulate(mask * (g / denom)[sched.ids], own=True)
+            a._accumulate(segment_extrema_backward_raw(
+                a.data, out, g, sched, NULL_ARENA), own=True)
 
-    return backward
+    return Tensor._make(out, (a,), backward)
 
 
 def segment_max_csr(t, segment_ids, num_segments, schedule=None):
     """Sorted-``reduceat`` segment max (empty segments yield zeros)."""
     sched = _schedule_for(segment_ids, schedule)
-    a = t
-    out = segment_extrema_raw(a.data, sched, num_segments, np.maximum)
-    return Tensor._make(out, (a,), _extrema_backward(a, sched, out))
+    out = segment_extrema_raw(t.data, sched, num_segments, np.maximum)
+    return _extrema_node(t, sched, out)
 
 
 def segment_minmax_csr(t, segment_ids, num_segments, schedule=None):
@@ -574,12 +597,9 @@ def segment_minmax_csr(t, segment_ids, num_segments, schedule=None):
     empty-segment-yields-zero convention and tie-splitting gradients.
     """
     sched = _schedule_for(segment_ids, schedule)
-    a = t
-    out_max = segment_extrema_raw(a.data, sched, num_segments, np.maximum)
-    out_min = segment_extrema_raw(a.data, sched, num_segments, np.minimum)
-    t_max = Tensor._make(out_max, (a,), _extrema_backward(a, sched, out_max))
-    t_min = Tensor._make(out_min, (a,), _extrema_backward(a, sched, out_min))
-    return t_max, t_min
+    out_max = segment_extrema_raw(t.data, sched, num_segments, np.maximum)
+    out_min = segment_extrema_raw(t.data, sched, num_segments, np.minimum)
+    return _extrema_node(t, sched, out_max), _extrema_node(t, sched, out_min)
 
 
 def gather_add_csr(t, index, addend, schedule=None):
@@ -603,36 +623,111 @@ def gather_add_csr(t, index, addend, schedule=None):
     return Tensor._make(a.data[index] + b.data, (a, b), backward)
 
 
+def lut_kron_forward_raw(ax, ay, values, valid, alloc):
+    """Kronecker LUT combination over raw arrays: ``out = ax . (V @ ay)``
+    per (edge, table) row, masked by ``valid``.
+
+    ``ax``/``ay`` are the (E*8, 7) axis coefficients, ``values`` the
+    (E*8, 49) tables and ``valid`` the (E, 8) mask.  Returns ``(out,
+    vy)`` where ``vy = V @ ay`` (E*8, 7) feeds
+    :func:`lut_kron_backward_raw`; both come from ``alloc``.
+    """
+    e = len(valid)
+    v3 = values.reshape(-1, 7, 7)
+    vy = alloc.take(ay.shape, np.result_type(values, ay))
+    np.matmul(v3, ay[:, :, None], out=vy[:, :, None])
+    dot = alloc.take((len(vy),), vy.dtype)
+    np.einsum("ij,ij->i", ax, vy, out=dot)
+    out = alloc.take((e, 8), np.result_type(dot, valid))
+    np.multiply(dot.reshape(e, 8), valid, out=out)
+    alloc.release(dot)
+    return out, vy
+
+
+def lut_kron_backward_raw(g, ax, vy, values, valid, alloc):
+    """Gradient of :func:`lut_kron_forward_raw`: returns ``(g_ax, g_ay)``
+    for the (E, 8) output gradient ``g`` (read-only)."""
+    gv = alloc.take(valid.shape, np.result_type(g, valid))
+    np.multiply(g, valid, out=gv)
+    col = gv.reshape(-1, 1)
+    g_ax = alloc.take(vy.shape, np.result_type(vy, col))
+    np.multiply(vy, col, out=g_ax)
+    # One V.T @ ax per row.
+    g_ay = alloc.take(vy.shape, g_ax.dtype)
+    np.matmul(ax[:, None, :], values.reshape(-1, 7, 7), out=g_ay[:, None, :])
+    g_ay *= col
+    alloc.release(gv)
+    return g_ax, g_ay
+
+
 def lut_kron_combine_csr(ax, ay, values, valid):
     """Fused Kronecker LUT combination, one tape node.
 
     Computes ``((ax (x) ay) . values).sum`` per (edge, table) row and
     masks invalid tables — i.e. the naive
     ``(batched_outer(ax, ay) * values).sum(axis=1).reshape(e, 8) * valid``
-    — without ever materialising the (E*8, 49) coefficient matrix:
-    per row, ``out = ax . (V @ ay)`` where ``V`` is the (7, 7) table.
-    ``values`` (E*8, 49) and ``valid`` (E, 8) are plain arrays (graph
-    data, no gradient).  Summation order differs from the naive path
-    (rows then columns instead of the flattened 49-term sum), which is
-    within the fused==naive floating-point tolerance.
+    — without ever materialising the (E*8, 49) coefficient matrix (see
+    :func:`lut_kron_forward_raw`).  ``values`` (E*8, 49) and ``valid``
+    (E, 8) are plain arrays (graph data, no gradient).  Summation order
+    differs from the naive path (rows then columns instead of the
+    flattened 49-term sum), which is within the fused==naive
+    floating-point tolerance.
     """
-    e = len(valid)
-    v3 = values.reshape(-1, 7, 7)
-    # (E*8, 7): one V @ ay per row, batched.
-    vy = np.matmul(v3, ay.data[:, :, None])[:, :, 0]
-    flat = np.einsum("ij,ij->i", ax.data, vy)
-    out = flat.reshape(e, 8) * valid
+    out, vy = lut_kron_forward_raw(ax.data, ay.data, values, valid,
+                                   NULL_ARENA)
 
     def backward(g):
-        gv = (g * valid).reshape(-1, 1)
+        g_ax, g_ay = lut_kron_backward_raw(g, ax.data, vy, values, valid,
+                                           NULL_ARENA)
         if ax.requires_grad:
-            ax._accumulate(vy * gv, own=True)
+            ax._accumulate(g_ax, own=True)
         if ay.requires_grad:
-            # (E*8, 7): one V.T @ ax per row.
-            vx = np.matmul(ax.data[:, None, :], v3)[:, 0, :]
-            ay._accumulate(vx * gv, own=True)
+            ay._accumulate(g_ay, own=True)
 
     return Tensor._make(out, (ax, ay), backward)
+
+
+def segment_minmax_gate_raw(values, sched, num_segments, gate, alloc):
+    """Late/early fanin aggregation over raw arrays: ``max*gate +
+    min*(1-gate)`` per segment, with ``gate`` the per-channel sigmoid.
+
+    Returns ``(out, out_max, out_min)``; the extrema feed
+    :func:`segment_minmax_gate_backward_raw`.  All three come from
+    ``alloc``.
+    """
+    out_max = segment_extrema_raw(values, sched, num_segments, np.maximum,
+                                  alloc=alloc)
+    out_min = segment_extrema_raw(values, sched, num_segments, np.minimum,
+                                  alloc=alloc)
+    out = alloc.take(out_max.shape, out_max.dtype)
+    np.multiply(out_max, gate, out=out)
+    t_min = alloc.take(out_min.shape, out_min.dtype)
+    np.multiply(out_min, 1.0 - gate, out=t_min)
+    out += t_min
+    alloc.release(t_min)
+    return out, out_max, out_min
+
+
+def segment_minmax_gate_backward_raw(g, values, out_max, out_min, gate,
+                                     sched, alloc):
+    """Gradient of :func:`segment_minmax_gate_raw` with tie-splitting
+    extrema gradients.
+
+    Returns ``(g_values, g_gate)``: ``g_values`` comes from ``alloc``;
+    ``g_gate`` is the per-channel ``sum(g * (max - min))``,
+    to which the caller applies the sigmoid derivative.
+    """
+    t = alloc.take(out_max.shape, out_max.dtype)
+    np.subtract(out_max, out_min, out=t)
+    t *= g
+    g_gate = t.sum(axis=0)
+    np.multiply(g, gate, out=t)
+    g_values = segment_extrema_backward_raw(values, out_max, t, sched, alloc)
+    np.multiply(g, 1.0 - gate, out=t)
+    part = segment_extrema_backward_raw(values, out_min, t, sched, alloc)
+    g_values += part
+    alloc.release_all((part, t))
+    return g_values, g_gate
 
 
 def segment_minmax_gate_csr(t, segment_ids, num_segments, gate_logits,
@@ -646,27 +741,16 @@ def segment_minmax_gate_csr(t, segment_ids, num_segments, gate_logits,
     """
     sched = _schedule_for(segment_ids, schedule)
     a, gl = t, gate_logits
-    out_max = segment_extrema_raw(a.data, sched, num_segments, np.maximum)
-    out_min = segment_extrema_raw(a.data, sched, num_segments, np.minimum)
     gate = 1.0 / (1.0 + np.exp(-np.clip(gl.data, -60, 60)))
-    out = out_max * gate + out_min * (1.0 - gate)
-
-    mask_max = (a.data == out_max[sched.ids]).astype(a.data.dtype)
-    counts_max = np.zeros_like(out_max)
-    scatter_add_rows(counts_max, sched.ids, mask_max, schedule=sched)
-    mask_min = (a.data == out_min[sched.ids]).astype(a.data.dtype)
-    counts_min = np.zeros_like(out_min)
-    scatter_add_rows(counts_min, sched.ids, mask_min, schedule=sched)
+    out, out_max, out_min = segment_minmax_gate_raw(
+        a.data, sched, num_segments, gate, NULL_ARENA)
 
     def backward(g):
+        ga, gg = segment_minmax_gate_backward_raw(
+            g, a.data, out_max, out_min, gate, sched, NULL_ARENA)
         if a.requires_grad:
-            g_max = (g * gate) / np.maximum(counts_max, 1.0)
-            g_min = (g * (1.0 - gate)) / np.maximum(counts_min, 1.0)
-            ga = mask_max * g_max[sched.ids]
-            ga += mask_min * g_min[sched.ids]
             a._accumulate(ga, own=True)
         if gl.requires_grad:
-            gg = (g * (out_max - out_min)).sum(axis=0)
             gg *= gate * (1.0 - gate)
             gl._accumulate(gg.reshape(gl.data.shape), own=True)
 

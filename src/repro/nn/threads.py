@@ -184,13 +184,22 @@ def segment_reduce(ufunc, data, order, starts, out=None, alloc=None):
         alloc.release(tmp)
         return out
 
+    # The scratch is taken and released on this thread: the arena is
+    # not thread-safe, and a fixed take/release order keeps its plan
+    # (and so the steady-state allocation count) deterministic.
+    bounds = _chunk_bounds(n_seg, thread_count())
+    scratch = {}
+    for lo, hi in bounds:
+        row1 = int(starts[hi]) if hi < n_seg else len(order)
+        scratch[lo] = alloc.take((row1 - int(starts[lo]),) + data.shape[1:],
+                                 data.dtype)
+
     def chunk(lo, hi):
         row0 = int(starts[lo])
-        row1 = int(starts[hi]) if hi < n_seg else len(order)
-        tmp = alloc.take((row1 - row0,) + data.shape[1:], data.dtype)
-        data.take(order[row0:row1], axis=0, out=tmp)
+        tmp = scratch[lo]
+        data.take(order[row0:row0 + len(tmp)], axis=0, out=tmp)
         ufunc.reduceat(tmp, starts[lo:hi] - row0, axis=0, out=out[lo:hi])
-        alloc.release(tmp)
 
-    _run_chunks(chunk, _chunk_bounds(n_seg, thread_count()))
+    _run_chunks(chunk, bounds)
+    alloc.release_all(scratch.values())
     return out

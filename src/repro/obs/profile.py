@@ -5,7 +5,7 @@ the duration of the block:
 
 * every forward op — tensor arithmetic, the graph ops of
   :mod:`repro.nn.ops`, the fused kernels of :mod:`repro.nn.kernels`,
-  the whole-level propagation mega-op, optimizer steps — is timed and
+  the propagation step driver, optimizer steps — is timed and
   its output bytes accounted;
 * every tape node minted while profiling gets its *backward closure*
   wrapped too, so the backward sweep is attributed per op
@@ -252,8 +252,7 @@ def _collect_targets():
     for attr in ops.__all__:
         targets.append((ops, attr))
     targets.append((optim, "clip_grad_norm"))
-    if hasattr(propagation, "_fused_propagate"):
-        targets.append((propagation, "_fused_propagate"))
+    targets.append((propagation, "propagate_levels"))
     # Aliased re-export namespaces: anything in repro.nn (or repro.nn.
     # modules' `kernels` reference — same module object) bound to one of
     # the originals above must point at the same wrapper.
@@ -264,10 +263,13 @@ def _collect_targets():
 def _install():
     """Patch every target; returns the undo list (owner, attr, original)."""
     targets, alias_spaces = _collect_targets()
+    # Resolve every target before patching any: a stale target name
+    # raises here, with nothing patched, instead of dropping its row.
+    resolved = [(owner, attr, getattr(owner, attr))
+                for owner, attr in targets]
     undo, wrappers = [], {}
-    for owner, attr in targets:
-        original = getattr(owner, attr, None)
-        if original is None or hasattr(original, "__profiled_original__"):
+    for owner, attr, original in resolved:
+        if hasattr(original, "__profiled_original__"):
             continue
         wrapper = wrappers.get(id(original))
         if wrapper is None:

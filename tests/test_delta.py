@@ -8,13 +8,14 @@ away and redoing everything.  Every test here states that contract as a
 differential: apply edits incrementally, then rebuild the same design
 from scratch (full re-route + full STA + full extraction + whole-graph
 forward) and require equality — bit-for-bit on graph feature arrays,
-1e-9 on model predictions — across edit kinds, kernel backends, edit
-sequences (hypothesis), the in-process service, the pre-fork pool, and
-the HTTP front-end.
+the dtype contract tolerance on model predictions — across edit kinds,
+LUT modes, kernel backends, edit sequences (hypothesis), the in-process
+service, the pre-fork pool, and the HTTP front-end.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 import urllib.error
@@ -114,11 +115,13 @@ def assert_graph_matches(hetero, ref):
 
 
 def assert_predictions_match(state, ref_hetero, model):
-    """Incremental head values == whole-graph forward on the reference."""
+    """Incremental head values == whole-graph forward on the reference,
+    within the dtype contract tolerance."""
     with nn.no_grad():
         ref_arrival = model.predict(ref_hetero).numpy_arrival()
+    rtol, atol = nn.contract_tol()
     np.testing.assert_allclose(state.arrival, ref_arrival,
-                               rtol=RTOL, atol=ATOL)
+                               rtol=rtol, atol=atol)
 
 
 # -- edit construction against a live session ---------------------------------
@@ -185,9 +188,13 @@ class TestParseEdits:
 class TestEditDifferential:
     """Every edit kind: incremental session == full rebuild, at 1e-9."""
 
+    @pytest.mark.parametrize("lut_mode", ["kron", "mlp"])
     @pytest.mark.parametrize("backend", ["fused", "naive"])
     def test_every_edit_kind_matches_full_reextract(self, toy_model,
-                                                    backend):
+                                                    backend, lut_mode):
+        if lut_mode != toy_model.cfg.lut_mode:
+            toy_model = TimingGNN(dataclasses.replace(toy_model.cfg,
+                                                      lut_mode=lut_mode))
         with nn.use_kernels(backend):
             session = DeltaSession(DESIGN, 1, SCALE, key="diff")
             entry = _entry(toy_model)

@@ -342,6 +342,9 @@ class TestProfiler:
         assert 0.5 * reference_ms < total < 1.8 * reference_ms
         names = set(prof.stats)
         assert "adam.step" in names and "autograd.backward" in names
+        # the propagation step driver and its backward closure
+        assert "propagate_levels" in names
+        assert "bwd:fused_propagate" in names
         table = format_profile_table(prof, top=5,
                                      reference_ms=reference_ms)
         assert "TOTAL (self)" in table and "% of unprofiled" in table
