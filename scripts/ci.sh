@@ -58,17 +58,20 @@ EOF
     # serial thread budget, and a 4-thread budget with the engagement
     # threshold forced to 1 row so the chunked matmul/segment paths
     # actually run on test-sized inputs.
-    # The delta differential joins the float32 and 4-thread runs: the
-    # incremental refresh shares the propagation steps, so it must hold
-    # incremental == full forward on both axes too.
+    # The delta differential and the edit-sequence property join the
+    # float32 and 4-thread runs: the incremental refresh shares the
+    # propagation steps, so it must hold incremental == full forward on
+    # both axes too.
     REPRO_DTYPE=float32 python -m pytest -x -q \
         tests/test_nn_autograd.py tests/test_arena.py \
-        "tests/test_delta.py::TestEditDifferential"
+        "tests/test_delta.py::TestEditDifferential" \
+        "tests/test_delta.py::TestDeltaSequenceProperty"
     REPRO_COMPUTE_THREADS=1 python -m pytest -x -q \
         tests/test_nn_autograd.py tests/test_arena.py
     REPRO_COMPUTE_THREADS=4 REPRO_COMPUTE_MIN_ROWS=1 python -m pytest -x -q \
         tests/test_nn_autograd.py tests/test_arena.py \
-        "tests/test_delta.py::TestEditDifferential"
+        "tests/test_delta.py::TestEditDifferential" \
+        "tests/test_delta.py::TestDeltaSequenceProperty"
 
     echo "== benchmark smoke suite (perf/) =="
     # perf/spans.py wraps program entry points by name (for example

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["HeteroGraph", "LevelBlock", "LevelSchedule", "LevelCompute",
-           "TIME_SCALE", "CAP_SCALE", "DIST_SCALE",
+           "NetSubgraph", "TIME_SCALE", "CAP_SCALE", "DIST_SCALE",
            "NODE_FEATURE_DIM", "NET_EDGE_FEATURE_DIM", "CELL_EDGE_FEATURE_DIM"]
 
 TIME_SCALE = 100.0    # ps
@@ -146,6 +146,44 @@ class LevelCompute:
         view.lut_idx_y = self.lut_idx_y[rows8]
         view.lut_values = self.lut_values[rows8]
         return view
+
+
+class NetSubgraph:
+    """A net-only view of the pins ``nodes`` (ascending, whole nets:
+    every driver together with all of its sinks).
+
+    Carries what :class:`~repro.models.net_embedding.NetEmbedding` reads
+    from a graph — pin and net-edge feature rows, net edges renumbered
+    to local pin positions, and their own
+    :class:`~repro.nn.kernels.SegmentSchedule` layouts — and is its own
+    schedule.  The cone refresh embeds only the nets an edit touched
+    through such a view.  Edges keep their stable order, so each net
+    reduces in the same order as in the whole-graph pass.
+    """
+
+    __slots__ = ("nodes", "node_features", "net_src", "net_dst",
+                 "net_features", "net_src_sched", "net_dst_sched")
+
+    def __init__(self, graph, nodes):
+        from ..nn.kernels import SegmentSchedule
+
+        local = np.full(graph.num_nodes, -1, dtype=np.int64)
+        local[nodes] = np.arange(len(nodes))
+        eids = np.nonzero(local[graph.net_src] >= 0)[0]
+        self.nodes = nodes
+        self.node_features = graph.node_features[nodes]
+        self.net_src = local[graph.net_src[eids]]
+        self.net_dst = local[graph.net_dst[eids]]
+        self.net_features = graph.net_features[eids]
+        self.net_src_sched = SegmentSchedule(self.net_src)
+        self.net_dst_sched = SegmentSchedule(self.net_dst)
+
+    @property
+    def num_nodes(self):
+        return len(self.nodes)
+
+    def compute_schedule(self, dtype=None):
+        return self
 
 
 class LevelSchedule:

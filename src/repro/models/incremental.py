@@ -8,10 +8,14 @@ given the dirty feature rows reported by
 :class:`~repro.graphdata.patch.GraphPatcher`, re-executes only the
 levels/segments downstream of the touched pins:
 
-* the **net embedding** is recomputed whole (three net convolutions are
-  a small, non-levelized fraction of the model) and bit-compared row by
-  row against the cached embedding — the exact per-node dirty set of the
-  embedding stage, with no reachability approximation;
+* the **net embedding** is recomputed per net: every net convolution
+  passes messages only between a driver and its sinks, and every pin is
+  the driver or a sink of exactly one net, so a pin's embedding depends
+  on its own net alone — whatever the layer count.  Only the nets with
+  a dirty pin or dirty net edge are re-embedded, through a
+  :class:`~repro.graphdata.hetero.NetSubgraph` view, and their rows are
+  bit-compared against the cached embedding — the exact per-node dirty
+  set of the embedding stage;
 * the **propagation loop** then re-runs with a dirty-frontier mask over
   the cached :class:`~repro.graphdata.hetero.LevelSchedule`: a net edge
   recomputes iff its driver state, sink embedding or edge features
@@ -27,11 +31,13 @@ driver (:func:`~repro.models.propagation.propagate_levels`): a full
 refresh is the driver's no-grad full forward, a cone refresh its
 dirty-frontier mode over level subsets whose segment reductions keep
 the full pass's per-segment order — so a cone refresh can only
-*over*-invalidate, never drift.  A model the driver cannot run (the
-``mlp`` LUT ablation) refreshes with a whole-graph no-grad forward
-every time.  The differential harness in ``tests/test_delta.py`` pins
-incremental == full forward within the dtype contract tolerance across
-edit kinds, LUT modes and kernel backends.
+*over*-invalidate, never drift.  Full refreshes (the first one, and
+any after a structural edit) embed the whole graph, and a model the
+driver cannot run (the ``mlp`` LUT ablation) refreshes with a
+whole-graph no-grad forward every time.  The differential harness in
+``tests/test_delta.py`` pins incremental == full forward (arrival,
+slew and net delay) within the dtype contract tolerance across edit
+kinds, LUT modes and kernel backends.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
+from ..graphdata.hetero import NetSubgraph
 from ..nn.arena import NULL_ARENA
 from .propagation import (PropagationSteps, _runs_steps,
                           propagate_levels)
@@ -57,6 +64,19 @@ def _merge_deltas(deltas):
     cat = lambda parts: (np.unique(np.concatenate(parts)) if parts  # noqa: E731
                          else np.empty(0, dtype=np.int64))
     return False, cat(nodes), cat(nets), cat(cells)
+
+
+def _touched_net_pins(graph, nodes, net_eids):
+    """Every pin (ascending) of the nets that have a dirty pin in
+    ``nodes`` or a dirty edge in ``net_eids``.  A net is a driver plus
+    its sinks; a driver without sinks is a net of its own."""
+    driver = np.arange(graph.num_nodes)
+    driver[graph.net_dst] = graph.net_src
+    pins = np.zeros(graph.num_nodes, dtype=bool)
+    pins[driver[nodes]] = True
+    pins[graph.net_src[net_eids]] = True
+    pins[graph.net_dst[pins[graph.net_src]]] = True
+    return np.nonzero(pins)[0]
 
 
 class IncrementalForwardState:
@@ -89,18 +109,29 @@ class IncrementalForwardState:
 
         Returns instrumentation: ``{"full": bool, "dirty_nodes": int}``.
         """
-        structural, _nodes, net_eids, cell_eids = _merge_deltas(deltas)
-        full = structural or self.he is None
+        structural, nodes, net_eids, cell_eids = _merge_deltas(deltas)
+        prop = self.model.propagation
+        full = structural or self.he is None or not _runs_steps(prop)
         if not full and not deltas and self.version == version:
             return {"full": False, "dirty_nodes": 0}
         if full:
             self.invalidate()
 
         n = graph.num_nodes
-        prop = self.model.propagation
-        with nn.no_grad():
-            he_t, nd_t = self.model.net_embedding.forward(graph)
-        self.net_delay = nd_t.data
+        embed = self.model.net_embedding.forward
+        if full:
+            with nn.no_grad():
+                he_t, nd_t = embed(graph)
+            he, self.net_delay = he_t.data, nd_t.data
+        else:
+            pins = _touched_net_pins(graph, nodes, net_eids)
+            with nn.no_grad():
+                he_t, nd_t = embed(NetSubgraph(graph, pins))
+            he, self.net_delay = self.he.copy(), self.net_delay.copy()
+            he[pins] = he_t.data
+            self.net_delay[pins] = nd_t.data
+            emb_dirty = np.zeros(n, dtype=bool)
+            emb_dirty[pins] = np.any(he[pins] != self.he[pins], axis=1)
         if not _runs_steps(prop):
             with nn.no_grad():
                 atslew = prop.forward(graph, he_t)[0].data
@@ -108,7 +139,6 @@ class IncrementalForwardState:
             self.version = version
             return {"full": True, "dirty_nodes": n}
 
-        he = he_t.data
         sched = graph.compute_schedule(dtype=he.dtype)
         steps = PropagationSteps(prop, he.dtype, False, NULL_ARENA)
         if full:
@@ -120,7 +150,6 @@ class IncrementalForwardState:
                              sched.sources, None, None)
             rows = np.arange(n)
         else:
-            emb_dirty = np.any(he != self.he, axis=1)
             frontier = _Frontier(graph, emb_dirty, net_eids, cell_eids)
             sources = sched.sources[emb_dirty[sched.sources]]
             propagate_levels(steps, sched, he, self.hp, self.atb, sources,

@@ -52,6 +52,14 @@ def _request_trace_id(headers):
 def _make_handler(service, quiet=True):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Buffer each response and send it whole: the handler loop
+        # flushes once after the method returns.  TCP_NODELAY (which the
+        # stdlib pairs with a buffered wfile) covers responses larger
+        # than the buffer: with Nagle on, a keep-alive connection would
+        # hold a trailing send until the client's delayed ACK of the
+        # previous one, ~40 ms per response.
+        wbufsize = -1
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):
             if not quiet:

@@ -45,7 +45,6 @@ from repro.sta.paths import enumerate_worst_paths
 
 SCALE = 0.15
 DESIGN = "spm"
-RTOL = 1e-9
 ATOL = 1e-9
 
 # Label arrays carry STA results: the incremental timer recomputes them
@@ -115,13 +114,17 @@ def assert_graph_matches(hetero, ref):
 
 
 def assert_predictions_match(state, ref_hetero, model):
-    """Incremental head values == whole-graph forward on the reference,
-    within the dtype contract tolerance."""
+    """Incremental head values (arrival, slew, net delay) == whole-graph
+    forward on the reference, within the dtype contract tolerance."""
     with nn.no_grad():
-        ref_arrival = model.predict(ref_hetero).numpy_arrival()
+        ref = model.predict(ref_hetero)
     rtol, atol = nn.contract_tol()
-    np.testing.assert_allclose(state.arrival, ref_arrival,
-                               rtol=rtol, atol=atol)
+    for name, ours, theirs in (
+            ("arrival", state.arrival, ref.numpy_arrival()),
+            ("slew", state.slew, ref.numpy_slew()),
+            ("net_delay", state.net_delay, ref.net_delay.data)):
+        np.testing.assert_allclose(ours, theirs, rtol=rtol, atol=atol,
+                                   err_msg=name)
 
 
 # -- edit construction against a live session ---------------------------------
@@ -213,16 +216,41 @@ class TestEditDifferential:
                 assert_graph_matches(session.hetero, ref)
                 assert_predictions_match(state, ref, toy_model)
 
-    def test_cone_refresh_is_actually_partial(self, toy_model):
-        """A single move re-executes a cone, not the whole graph."""
+    def test_cone_refresh_is_actually_partial(self, toy_model,
+                                              monkeypatch):
+        """A single move re-executes a cone, not the whole graph, and
+        embeds only the pins of the nets that touch the moved cell."""
         session = DeltaSession(DESIGN, 1, SCALE, key="cone")
         entry = _entry(toy_model)
         _, stats = session.refresh(entry)
         assert stats["full"]
-        session.apply(parse_edits([_move_edit(session.patcher)]))
+
+        embedded = []
+        forward = NetEmbedding.forward
+
+        def spy(self, graph):
+            embedded.append(graph)
+            return forward(self, graph)
+
+        monkeypatch.setattr(NetEmbedding, "forward", spy)
+        edit = _move_edit(session.patcher)
+        session.apply(parse_edits([edit]))
         _, stats = session.refresh(entry)
         assert not stats["full"]
-        assert 0 < stats["dirty_nodes"] < session.hetero.num_nodes
+        n = session.hetero.num_nodes
+        assert 0 < stats["dirty_nodes"] < n
+
+        patcher = session.patcher
+        cell = next(c for c in patcher.design.cells if c.name == edit["cell"])
+        expected = set()
+        for pin in cell.pins.values():
+            if pin.is_clock or pin.net is None:
+                continue
+            for p in [pin.net.driver, *pin.net.sinks]:
+                expected.add(patcher.graph.node_of_pin[p.index])
+        [view] = embedded
+        assert sorted(expected) == view.nodes.tolist()
+        assert view.num_nodes < 0.1 * n
 
     def test_structural_edit_forces_full_refresh(self, toy_model):
         session = DeltaSession(DESIGN, 1, SCALE, key="full")
@@ -309,10 +337,11 @@ class TestDeltaSequenceProperty:
             np.testing.assert_array_equal(
                 getattr(session.hetero, name),
                 getattr(replay.hetero, name), err_msg=name)
-        np.testing.assert_allclose(state.arrival, rstate.arrival,
-                                   rtol=RTOL, atol=ATOL)
-        np.testing.assert_allclose(state.slew, rstate.slew,
-                                   rtol=RTOL, atol=ATOL)
+        rtol, atol = nn.contract_tol()
+        for name in ("arrival", "slew", "net_delay"):
+            np.testing.assert_allclose(getattr(state, name),
+                                       getattr(rstate, name),
+                                       rtol=rtol, atol=atol, err_msg=name)
         ref = full_reextract(session.patcher)
         assert_graph_matches(session.hetero, ref)
         assert_predictions_match(state, ref, toy_model)

@@ -10,6 +10,7 @@ fast.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -309,6 +310,24 @@ class TestHTTPServer:
     def test_healthz(self, server):
         status, body = _get(server.url + "/healthz")
         assert status == 200 and body["status"] == "ok"
+
+    def test_keep_alive_has_no_nagle_stall(self, server):
+        """Requests on one keep-alive connection answer without the
+        ~40 ms Nagle/delayed-ACK stall between header and body sends."""
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            rtts = []
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                rtts.append(time.perf_counter() - start)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert float(np.median(rtts)) < 0.020, rtts
 
     def test_models_endpoint(self, server):
         status, body = _get(server.url + "/models")
