@@ -3,11 +3,12 @@
 # naive-backend kernel differential pass (including the delta-prediction
 # differential harness), float32 and threaded reruns, the benchmark
 # smoke suite under perf/, the coverage floors (repro.parallel, repro.nn,
-# repro.obs, repro.serving, repro.sta), the bench regression gate
-# (`repro bench diff --check` vs. the run ledger), then fast serving +
-# compute smoke tests (the serving bench also gates the incremental
-# delta path — delta_speedup > 1 vs full rebuild-and-forward — and the
-# shadow-audit path: REPRO_AUDIT_RATE=1 with the audit digest asserted).
+# repro.obs, repro.serving, repro.sta, repro.graphdata), the bench
+# regression gate (`repro bench diff --check` vs. the run ledger), then
+# fast serving + compute smoke tests (the serving bench also gates the
+# incremental delta path — delta_speedup > 1 vs full rebuild-and-forward
+# — and the shadow-audit path: REPRO_AUDIT_RATE=1 with the audit digest
+# asserted).
 #
 #   scripts/ci.sh         # full tier-1 x2 + differential + floors + smokes
 #   scripts/ci.sh smoke   # smoke only (deselects @slow experiment tests)
@@ -80,7 +81,7 @@ EOF
     # the benchmark.
     python -m pytest perf -q
 
-    echo "== coverage floors (repro.parallel, repro.nn, repro.obs, repro.serving, repro.sta) =="
+    echo "== coverage floors (repro.parallel, repro.nn, repro.obs, repro.serving, repro.sta, repro.graphdata) =="
     python scripts/coverage_floor.py --min 80
 
     echo "== bench regression gate (committed BENCH files vs. ledger) =="

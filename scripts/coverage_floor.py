@@ -30,7 +30,11 @@ Covered packages (each with its own test files and an 80% floor):
   path enumeration, driven by tests/test_sta.py,
   tests/test_sta_properties.py, tests/test_incremental.py,
   tests/test_paths.py and tests/test_delta.py (the differential
-  harness drives the timer through every ECO edit kind).
+  harness drives the timer through the lazy label pass: after each ECO
+  edit kind, and once over the union of several pending edits);
+* ``src/repro/graphdata`` — the two-pass extraction, the ECO graph
+  patcher and the dataset/batching layer, driven by
+  tests/test_graphdata.py, tests/test_golden.py and tests/test_delta.py.
 
     python scripts/coverage_floor.py            # default floor 80%
     python scripts/coverage_floor.py --min 85
@@ -75,6 +79,11 @@ TARGETS = {
         "dir": os.path.join(REPO, "src", "repro", "sta"),
         "tests": _t("test_sta.py", "test_sta_properties.py",
                     "test_incremental.py", "test_paths.py",
+                    "test_delta.py"),
+    },
+    "graphdata": {
+        "dir": os.path.join(REPO, "src", "repro", "graphdata"),
+        "tests": _t("test_graphdata.py", "test_golden.py",
                     "test_delta.py"),
     },
 }

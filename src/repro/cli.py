@@ -254,8 +254,8 @@ def _bench_delta(args, designs):
     re-route, full STA, re-extraction — and run a whole-graph forward;
     that conventional iteration is the ``full_latency_ms`` baseline.
     The delta iteration is one single-edit ``/predict/delta`` request
-    end to end (incremental STA cone + feature patch + cone-limited
-    forward).  Recorded as ``extra["delta"]`` in BENCH_serving.json;
+    end to end (feature patch + cone-limited forward; it neither routes
+    nor runs STA).  Recorded as ``extra["delta"]`` in BENCH_serving.json;
     scripts/ci.sh asserts ``delta_speedup > 1``.
     """
     import time

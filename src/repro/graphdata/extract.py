@@ -1,4 +1,13 @@
-"""Extraction: placed + routed + timed design -> :class:`HeteroGraph`.
+"""Extraction: placed design -> :class:`HeteroGraph`, in two passes.
+
+The **feature pass** (:func:`extract_features`) needs only the timing
+graph, the placement and a clock period.  It builds the topology, the
+features and the endpoint mask, plus the endpoint ``required`` rows:
+those follow the static rule of :func:`repro.sta.engine.endpoint_required`
+and are inputs to served slack, not STA labels.  The **label pass**
+(:func:`write_labels`) copies a :class:`~repro.sta.engine.TimingResult`
+into the label arrays, which the feature pass leaves NaN.
+:func:`extract_graph` runs both, for training and dataset builds.
 
 Features follow the paper exactly:
 
@@ -18,9 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import get_registry, get_tracer
+from ..sta.engine import endpoint_required
 from .hetero import (CAP_SCALE, DIST_SCALE, TIME_SCALE, HeteroGraph)
 
-__all__ = ["extract_graph"]
+__all__ = ["extract_graph", "extract_features", "write_labels",
+           "LABEL_FIELDS"]
+
+# HeteroGraph arrays the label pass writes (normalized by TIME_SCALE).
+LABEL_FIELDS = ("net_delay", "arrival", "slew", "required",
+                "cell_arc_delay")
 
 
 def _node_features(graph, placement):
@@ -86,15 +101,38 @@ def extract_graph(graph, placement, result, split="train"):
     ``graph`` is the STA :class:`~repro.sta.graph.TimingGraph`,
     ``result`` the :class:`~repro.sta.engine.TimingResult` labels.
     """
-    with get_tracer().span("graphdata.extract",
-                           design=graph.design.name,
-                           nodes=int(graph.num_nodes),
-                           net_edges=len(graph.net_edges),
-                           cell_edges=len(graph.cell_edges)):
-        return _extract_graph(graph, placement, result, split)
+    with _span(graph):
+        hetero = _extract_features(graph, placement, result.clock_period,
+                                   split)
+        return write_labels(hetero, result)
 
 
-def _extract_graph(graph, placement, result, split):
+def extract_features(graph, placement, clock_period, split="train"):
+    """The label-free feature pass: no routing, no STA.
+
+    Equals :func:`extract_graph` bit for bit on every array except the
+    label arrays, which stay NaN (endpoint ``required`` rows excepted).
+    """
+    with _span(graph, labels=False):
+        return _extract_features(graph, placement, clock_period, split)
+
+
+def write_labels(hetero, result):
+    """The label pass: ``result``'s arrays, normalized, into ``hetero``."""
+    for name in LABEL_FIELDS:
+        np.divide(getattr(result, name), TIME_SCALE,
+                  out=getattr(hetero, name))
+    return hetero
+
+
+def _span(graph, **extra):
+    return get_tracer().span("graphdata.extract", design=graph.design.name,
+                             nodes=int(graph.num_nodes),
+                             net_edges=len(graph.net_edges),
+                             cell_edges=len(graph.cell_edges), **extra)
+
+
+def _extract_features(graph, placement, clock_period, split):
     node_features = _node_features(graph, placement)
     net_src, net_dst, net_features = _net_edge_arrays(graph, placement)
     cell_src, cell_dst, cell_valid, cell_indices, cell_values = \
@@ -105,28 +143,34 @@ def _extract_graph(graph, placement, result, split):
     is_source[graph.source_nodes()] = True
     is_net_sink = np.zeros(n, dtype=bool)
     is_net_sink[net_dst] = True
+    endpoints = graph.endpoint_nodes()
+    is_endpoint = np.zeros(n, dtype=bool)
+    is_endpoint[endpoints] = True
+    required = np.full((n, 4), np.nan)
+    required[endpoints] = endpoint_required(graph, endpoints,
+                                            clock_period) / TIME_SCALE
 
     hetero = HeteroGraph(
         name=graph.design.name,
         split=split,
-        clock_period=result.clock_period,
+        clock_period=clock_period,
         node_features=node_features,
         level=graph.level.copy(),
         is_source=is_source,
-        is_endpoint=result.endpoint_mask.copy(),
+        is_endpoint=is_endpoint,
         is_net_sink=is_net_sink,
         net_src=net_src, net_dst=net_dst, net_features=net_features,
         cell_src=cell_src, cell_dst=cell_dst,
         cell_valid=cell_valid, cell_indices=cell_indices,
         cell_values=cell_values,
-        net_delay=result.net_delay / TIME_SCALE,
-        arrival=result.arrival / TIME_SCALE,
-        slew=result.slew / TIME_SCALE,
-        required=result.required / TIME_SCALE,
-        cell_arc_delay=result.cell_arc_delay / TIME_SCALE,
+        net_delay=np.full((n, 4), np.nan),
+        arrival=np.full((n, 4), np.nan),
+        slew=np.full((n, 4), np.nan),
+        required=required,
+        cell_arc_delay=np.full((len(cell_src), 4), np.nan),
     )
     hetero.build_levels()
     get_registry().counter(
         "repro_graphs_extracted_total",
-        "HeteroGraphs built from analysed designs.").inc()
+        "HeteroGraphs built from placed designs.").inc()
     return hetero

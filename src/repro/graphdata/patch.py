@@ -1,41 +1,56 @@
 """In-place incremental patching of an extracted :class:`HeteroGraph`.
 
 ECO loops (gate sizing, buffering, legalization nudges) edit a handful
-of cells and re-query timing thousands of times.  Re-extracting the
-whole dataset view per edit costs a full route + STA + feature pass;
-this module instead keeps one *live* extraction in sync with a stream
-of small edits:
+of cells and re-query timing thousands of times.  A model prediction
+reads only features, so an edit changes the design and patches the
+feature rows it touched; it never routes and never runs STA:
 
-* ``move_cell`` / ``resize_cell`` ride on
-  :class:`~repro.sta.incremental.IncrementalTimer` (cone-limited STA at
-  ``tolerance=0``, i.e. bit-identical to a full re-analysis) and then
-  recompute only the touched feature rows — node boundary-distance /
-  capacitance columns, net-edge distance rows, cell-edge LUT rows —
-  writing both the flat ``HeteroGraph`` arrays and the cached
-  per-level :class:`~repro.graphdata.hetero.LevelCompute` copies in
-  place, so the cached ``LevelSchedule`` CSR layouts survive the edit.
+* ``move_cell`` moves the cell in the placement
+  (:meth:`~repro.placement.placer.Placement.move_cell`, the same move
+  the incremental timer makes) and rewrites the moved pins'
+  boundary-distance columns and their net-edge distance rows;
+* ``resize_cell`` swaps the cell type and rebinds its arcs
+  (:meth:`~repro.sta.graph.TimingGraph.resize_cell`), then rewrites the
+  pins' capacitance columns and the cell-edge LUT rows.  Resizing a
+  register also rewrites its D-pin endpoint ``required`` rows: they
+  follow the static rule of :func:`~repro.sta.engine.endpoint_required`
+  and feed served slack;
 * ``insert_buffer`` / ``remove_buffer`` change the netlist structure
-  (node/edge counts change), so they fall back to a full rebuild of
-  routing, timing graph, STA and extraction — exactly what a fresh
-  flow would produce.
+  (node/edge counts change), so they rebuild the timing graph and run
+  the label-free feature pass of :mod:`repro.graphdata.extract`.
 
-Every edit returns a :class:`DirtyDelta` naming the feature rows it
-invalidated; the incremental model forward
-(:mod:`repro.models.incremental`) uses those as its dirty frontier.
+Patched rows land in the flat ``HeteroGraph`` arrays and in the cached
+per-level :class:`~repro.graphdata.hetero.LevelCompute` copies, so the
+cached ``LevelSchedule`` CSR layouts survive the edit.  Every edit bumps
+the graph version, records the nets it dirtied and returns a
+:class:`DirtyDelta` naming the feature rows it invalidated; the
+incremental model forward (:mod:`repro.models.incremental`) uses those
+as its dirty frontier.
+
+Ground-truth labels are computed lazily, by
+:meth:`GraphPatcher.materialize`.  With no routing or STA result yet (a
+label-free start, or after a structural edit) it routes the design and
+runs full STA at the session's fixed clock period.  Otherwise it
+re-routes the nets dirtied since the last label pass and runs one cone
+update from their pins.  The serving layer answers a degraded delta
+request only from labels that describe the current version; past the
+request deadline it returns a 504 rather than start this pass.
+
 The differential harness in ``tests/test_delta.py`` pins the contract:
 after any edit sequence, the patched arrays equal a from-scratch
-re-extraction bit for bit (labels after :meth:`GraphPatcher.materialize`,
-which refreshes the full backward required pass).
+re-extraction bit for bit (labels after ``materialize()``, at 1e-9).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..obs import get_tracer
-from .extract import extract_graph
+from ..sta.engine import endpoint_required
+from .extract import extract_features, write_labels
 from .hetero import CAP_SCALE, DIST_SCALE, TIME_SCALE
 
 __all__ = ["EditError", "DirtyDelta", "GraphPatcher", "parse_edits",
@@ -84,6 +99,8 @@ def parse_edits(raw):
                         "x": float(edit["x"]), "y": float(edit["y"])}
             except (TypeError, ValueError) as exc:
                 raise EditError(f"edit #{pos}: bad coordinates: {exc}")
+            if not (math.isfinite(edit["x"]) and math.isfinite(edit["y"])):
+                raise EditError(f"edit #{pos}: coordinates must be finite")
         elif op == "resize_cell":
             _require(edit, op, "cell", "cell_type")
             edit = {"op": op, "cell": str(edit["cell"]),
@@ -121,29 +138,32 @@ class DirtyDelta:
 class GraphPatcher:
     """Keeps one design's :class:`HeteroGraph` live across ECO edits.
 
-    Owns the full artefact chain (design, placement, routing, timing
-    graph, STA result, extraction) of ONE analysis and mutates it in
-    place; the serving layer holds one patcher per delta session, built
-    from a deterministic rebuild of the cached base graph so the shared
-    graph cache entry itself is never mutated.
+    Owns the artefact chain of ONE design (design, placement, timing
+    graph, extraction, and the routing and STA result once labels
+    exist) and mutates it in place.  ``routing`` and ``result`` may be
+    None; ``hetero`` must carry ``result``'s labels when they are
+    given.  The serving layer holds one patcher per delta session,
+    built label-free from the cached base graph's design, placement
+    seed and clock period, so the shared graph cache entry itself is
+    never mutated.
     """
 
     def __init__(self, design, placement, routing, graph, result, hetero):
-        from ..sta import IncrementalTimer
-
         self.design = design
         self.placement = placement
         self.routing = routing
         self.graph = graph
         self.result = result
         self.hetero = hetero
-        self.clock_period = result.clock_period
+        self.clock_period = hetero.clock_period
         self.version = 0
+        # The version the label arrays describe; None before any labels.
+        self.labels_version = None if result is None else 0
+        self._dirty_nets = set()     # nets edited since the last labels
         # LIFO of (buffer cell, split net, detached sink, new net):
         # the structural revert relies on append-only design arrays.
         self._buffer_stack = []
         self._n_buffers = 0
-        self._timer_cls = IncrementalTimer
         self._bind()
 
     # -- index structures --------------------------------------------------
@@ -151,9 +171,6 @@ class GraphPatcher:
         """(Re)build lookup tables after construction or a rebuild."""
         if not self.hetero.levels and self.hetero.num_nodes:
             self.hetero.build_levels()
-        self.timer = self._timer_cls(self.design, self.placement,
-                                     self.routing, self.graph, self.result,
-                                     tolerance=0.0)
         self._cells = {cell.name: cell for cell in self.design.cells}
         self._nets = {net.name: net for net in self.design.nets}
         self._cell_eids = {}
@@ -209,7 +226,8 @@ class GraphPatcher:
 
     def _move_cell(self, edit):
         cell = self._lookup_cell(edit["cell"])
-        self.timer.move_cell(cell, (edit["x"], edit["y"]))
+        self._dirty_nets |= self.placement.move_cell(
+            cell, (edit["x"], edit["y"]))
         nodes = self._cell_nodes(cell)
         die = self.placement.die
         h = self.hetero
@@ -221,7 +239,6 @@ class GraphPatcher:
         moved[nodes] = True
         eids = np.nonzero(moved[h.net_src] | moved[h.net_dst])[0]
         self._patch_net_features(eids)
-        self._sync_labels()
         return DirtyDelta(nodes=nodes, net_eids=eids)
 
     def _resize_cell(self, edit):
@@ -231,7 +248,7 @@ class GraphPatcher:
         except KeyError:
             raise EditError(f"no library cell {edit['cell_type']!r}")
         try:
-            self.timer.resize_cell(cell, new_type)
+            self._dirty_nets |= self.graph.resize_cell(cell, new_type)
         except ValueError as exc:          # pin-incompatible swap
             raise EditError(str(exc))
         nodes = self._cell_nodes(cell)
@@ -244,7 +261,10 @@ class GraphPatcher:
                           dtype=np.int64)
         for eid in eids:
             self._patch_cell_edge(int(eid))
-        self._sync_labels()
+        # A register's setup/hold moved its D-pin endpoint rows.
+        endpoints = nodes[h.is_endpoint[nodes]]
+        h.required[endpoints] = endpoint_required(
+            self.graph, endpoints, self.clock_period) / TIME_SCALE
         return DirtyDelta(nodes=nodes, cell_eids=eids)
 
     def _insert_buffer(self, edit):
@@ -352,48 +372,61 @@ class GraphPatcher:
             lv.lut_idx_y[pos * 8:(pos + 1) * 8] = idx[:, 7:]
             lv.lut_values[pos * 8:(pos + 1) * 8] = val.reshape(8, 49)
 
-    # -- label sync --------------------------------------------------------
+    # -- the lazy label pass ------------------------------------------------
     def _sync_labels(self):
-        """Mirror the (cone-updated) STA result into the dataset view.
+        """Copy the STA result into the label arrays (the label pass).
 
-        Endpoint required times are static in the clock period and the
-        endpoint cell types, so they are refreshed exactly here; interior
-        required times are only brought to full-backward parity by
-        :meth:`materialize` (predictions never read them).
+        Only :meth:`materialize` calls this, once the result describes
+        the current version; edits never do.  Between label passes the
+        label arrays describe :attr:`labels_version` (NaN before the
+        first pass), while features and endpoint ``required`` rows
+        always describe the current version.
         """
-        from ..sta.engine import _set_required_at_endpoints
-
-        r, h = self.result, self.hetero
-        np.divide(r.net_delay, TIME_SCALE, out=h.net_delay)
-        np.divide(r.arrival, TIME_SCALE, out=h.arrival)
-        np.divide(r.slew, TIME_SCALE, out=h.slew)
-        np.divide(r.cell_arc_delay, TIME_SCALE, out=h.cell_arc_delay)
-        _set_required_at_endpoints(self.graph, r, r.clock_period,
-                                   po_margin_frac=0.05)
-        np.divide(r.required, TIME_SCALE, out=h.required)
+        write_labels(self.hetero, self.result)
 
     def materialize(self):
-        """Full label parity with a from-scratch re-analysis.
+        """Bring the labels up to the current version; returns the graph.
 
-        Runs the full backward required pass (interior rows are stale
-        after cone updates) and re-syncs every label array; returns the
-        patched :class:`HeteroGraph`.
+        Routes and runs full STA at :attr:`clock_period` when there is
+        no STA result yet.  Otherwise re-routes the nets dirtied
+        since the last label pass, runs one cone update from their pins
+        and a full backward required pass.  Labels then equal a
+        from-scratch re-analysis of the edited design.
         """
-        self.timer.refresh_required()
+        from ..routing import route_design
+        from ..sta import IncrementalTimer, run_sta
+
+        if self.labels_version == self.version:
+            return self.hetero
+        if self.result is None:
+            self.routing = route_design(self.design, self.placement)
+            self.result = run_sta(self.design, self.placement, self.routing,
+                                  clock_period=self.clock_period,
+                                  graph=self.graph)
+        else:
+            timer = IncrementalTimer(self.design, self.placement,
+                                     self.routing, self.graph, self.result,
+                                     tolerance=0.0)
+            timer.update(self._dirty_nets).refresh_required()
+        self._dirty_nets = set()
         self._sync_labels()
+        self.labels_version = self.version
         return self.hetero
 
     # -- structural rebuild ------------------------------------------------
     def _rebuild(self):
-        """Full re-route + STA + extraction after a structural edit."""
-        from ..routing import route_design
-        from ..sta import build_timing_graph, run_sta
+        """New timing graph + feature pass after a structural edit.
 
-        self.routing = route_design(self.design, self.placement)
+        Routing and the STA result are dropped: the next
+        :meth:`materialize` routes and times the new netlist in full.
+        """
+        from ..sta import build_timing_graph
+
         self.graph = build_timing_graph(self.design)
-        self.result = run_sta(self.design, self.placement, self.routing,
-                              clock_period=self.clock_period,
-                              graph=self.graph)
-        self.hetero = extract_graph(self.graph, self.placement,
-                                    self.result, split=self.hetero.split)
+        self.hetero = extract_features(self.graph, self.placement,
+                                       self.clock_period,
+                                       split=self.hetero.split)
+        self.routing = self.result = None
+        self.labels_version = None
+        self._dirty_nets = set()
         self._bind()

@@ -49,6 +49,23 @@ class Placement:
         dy = ((h // 16) % 16) / 16.0 * 2.0 - 1.0
         return np.asarray([dx, dy])
 
+    def move_cell(self, cell, xy):
+        """Move ``cell`` to ``xy``, carrying its timed pins along.
+
+        Clock pins and unconnected pins keep their coordinates (timing
+        never reads them).  Returns the nets of the moved pins.
+        """
+        xy = np.asarray(xy, dtype=np.float64)
+        self.cell_xy[self.design.cells.index(cell)] = xy
+        nets = set()
+        for pin in cell.pins.values():
+            if pin.is_clock or pin.net is None:
+                continue
+            self.pin_xy[pin.index] = self.die.clamp(
+                xy + self._pin_offset(pin))
+            nets.add(pin.net)
+        return nets
+
     def _pin_coordinates(self):
         design = self.design
         cell_index = {id(c): i for i, c in enumerate(design.cells)}

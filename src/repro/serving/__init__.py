@@ -6,7 +6,7 @@ The reproduction's first traffic-facing subsystem (see DESIGN.md §3):
 * :mod:`.cache`     — thread-safe LRU caches (graphs, results);
 * :mod:`.batching`  — micro-batching executor (disjoint-union forwards);
 * :mod:`.service`   — the transport-agnostic core with deadlines and
-  graceful degradation to the ground-truth STA path;
+  graceful degradation to ground-truth STA labels;
 * :mod:`.delta`     — incremental (ECO) prediction sessions: apply a
   small edit list to a live graph and re-predict cone-limited;
 * :mod:`.http`      — stdlib JSON/HTTP front-end (``/predict``,
@@ -32,8 +32,8 @@ from .pool import (NotPoolable, PoolCrashError, PoolError,
                    PooledPredictionService, PoolRouter, PoolWorker)
 from .registry import (DEFAULT_MODELS, ModelEntry, ModelLoadError,
                        ModelRegistry)
-from .service import (Overloaded, PredictionService, PredictRequest,
-                      PredictResponse, RequestError)
+from .service import (DeadlineExceeded, Overloaded, PredictionService,
+                      PredictRequest, PredictResponse, RequestError)
 
 __all__ = [
     "BatchTimeout", "MicroBatcher",
@@ -45,6 +45,6 @@ __all__ = [
     "NotPoolable", "PoolCrashError", "PoolError",
     "PooledPredictionService", "PoolRouter", "PoolWorker",
     "DEFAULT_MODELS", "ModelEntry", "ModelLoadError", "ModelRegistry",
-    "Overloaded", "PredictionService", "PredictRequest",
-    "PredictResponse", "RequestError",
+    "DeadlineExceeded", "Overloaded", "PredictionService",
+    "PredictRequest", "PredictResponse", "RequestError",
 ]

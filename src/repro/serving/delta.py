@@ -3,14 +3,17 @@
 A :class:`DeltaRequest` names a base graph already servable by the
 graph cache (design + seed + scale) and a small edit list (move cell,
 resize cell, insert/remove buffer).  The service keeps one
-:class:`DeltaSession` per base graph key: a deterministic rebuild of
-the cached design's artefact chain (so the shared cache entry itself is
-never mutated) wrapped in a
-:class:`~repro.graphdata.patch.GraphPatcher`, plus one cached
+:class:`DeltaSession` per base graph key: a deterministic, label-free
+rebuild of the cached design (same generator, placement seed and scale,
+at the cached graph's clock period, so the shared cache entry itself is
+never mutated) wrapped in a :class:`~repro.graphdata.patch.GraphPatcher`,
+plus one cached
 :class:`~repro.models.incremental.IncrementalForwardState` per model.
-Each request applies its edits under the session lock, bumps the graph
-version, and re-predicts cone-limited — only the levels/segments
-downstream of the touched pins re-execute.
+Each request applies its edits under the session lock, which patches
+feature rows only, bumps the graph version, and re-predicts
+cone-limited: only the levels/segments downstream of the touched pins
+re-execute.  Nothing on this path routes or runs STA; ground-truth
+labels come from :meth:`DeltaSession.materialize` when asked for.
 
 :class:`DeltaClient` is the closed-loop face of the endpoint: the
 optimizers in :mod:`repro.opt` use it (``use_service=``) to drive trial
@@ -25,9 +28,10 @@ import uuid
 from dataclasses import dataclass, field
 
 from .. import nn
+from ..graphdata.extract import extract_features
 from ..graphdata.patch import GraphPatcher
 from ..models.incremental import IncrementalForwardState
-from .service import RequestError
+from .service import RequestError, finite_number
 
 __all__ = ["DeltaRequest", "DeltaSession", "DeltaClient"]
 
@@ -70,22 +74,16 @@ class DeltaRequest:
             raise RequestError("'model' must be a non-empty string")
         try:
             self.seed = int(self.seed)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise RequestError("'seed' must be an integer")
         if self.scale is not None:
-            try:
-                self.scale = float(self.scale)
-            except (TypeError, ValueError):
-                raise RequestError("'scale' must be a number")
+            self.scale = finite_number(self.scale, "scale")
             if self.scale <= 0:
                 raise RequestError("'scale' must be positive")
         if not isinstance(self.edits, list):
             raise RequestError("'edits' must be a list of edit objects")
         if self.deadline_ms is not None:
-            try:
-                self.deadline_ms = float(self.deadline_ms)
-            except (TypeError, ValueError):
-                raise RequestError("'deadline_ms' must be a number")
+            self.deadline_ms = finite_number(self.deadline_ms, "deadline_ms")
             if self.deadline_ms < 0:
                 raise RequestError("'deadline_ms' must be >= 0")
         self.include_slack = bool(self.include_slack)
@@ -109,29 +107,28 @@ class DeltaRequest:
 class DeltaSession:
     """One design's live edit session.
 
-    Rebuilds the cached base graph's artefact chain deterministically
-    (same generator, placement seed and scale as the graph cache entry,
-    hence bit-identical arrays) and keeps it in sync with the edit
-    stream.  All mutation happens under :attr:`lock`; the ``nonce``
-    makes result-cache keys unique to this session instance, so an
+    Rebuilds the cached base graph's design deterministically (same
+    generator, placement seed and scale as the graph cache entry) and
+    runs only the feature pass at the base graph's ``clock_period``,
+    hence feature arrays bit-identical to the cached graph's.  All
+    mutation happens under :attr:`lock`; the ``nonce`` makes
+    result-cache keys unique to this session instance, so an
     evicted-and-rebuilt session can never collide with payloads cached
     by its predecessor at the same version number.
     """
 
-    def __init__(self, design, seed, scale, key):
+    def __init__(self, design, seed, scale, key, clock_period):
         from ..flow import Flow
-        flow = Flow.from_benchmark(design, scale=scale)
-        flow.place(seed=seed)
-        hetero = flow.extract()
+        flow = Flow.from_benchmark(design, scale=scale).place(seed=seed)
+        hetero = extract_features(flow.graph, flow.placement, clock_period)
         self.design = design
         self.seed = seed
         self.scale = scale
         self.key = key
         self.nonce = uuid.uuid4().hex[:8]
         self.lock = threading.RLock()
-        self.patcher = GraphPatcher(flow.design, flow.placement,
-                                    flow.routing, flow.graph, flow.result,
-                                    hetero)
+        self.patcher = GraphPatcher(flow.design, flow.placement, None,
+                                    flow.graph, None, hetero)
         self.dirty_log = []        # dirty_log[i]: the edit taking i -> i+1
         self._states = {}          # (model name, version) -> forward state
 
@@ -142,6 +139,10 @@ class DeltaSession:
     @property
     def hetero(self):
         return self.patcher.hetero
+
+    @property
+    def clock_period(self):
+        return self.patcher.clock_period
 
     def apply(self, edits):
         """Apply parsed edits in order; appends each to the dirty log."""
@@ -175,8 +176,15 @@ class DeltaSession:
             _h, net_delay = entry.model.forward(self.hetero)
         return net_delay.data
 
+    def labelled(self):
+        """The patched graph if its labels describe the current version
+        (after a label pass, with no edit since), else None."""
+        patcher = self.patcher
+        return (patcher.hetero if patcher.labels_version == patcher.version
+                else None)
+
     def materialize(self):
-        """Ground-truth label parity (see GraphPatcher.materialize)."""
+        """Run the lazy label pass (see GraphPatcher.materialize)."""
         return self.patcher.materialize()
 
 

@@ -380,8 +380,9 @@ class PoolRouter:
         Delta sessions are worker-local mutable state; sharding by base
         graph key pins every edit stream for one design to the worker
         that holds its session.  ``spec`` is ``{design, seed, scale,
-        version}`` — the session identity plus the parent's post-apply
-        version the worker must land on (see ``PoolWorker``); a worker
+        version, clock_period}`` — the session identity, the parent's
+        post-apply version the worker must land on (see ``PoolWorker``)
+        and the base graph's clock period; a worker
         that cannot reach it raises :class:`PoolError` here and the
         caller answers from its in-process session.
         """

@@ -82,7 +82,8 @@ class PooledPredictionService(PredictionService):
         try:
             self.router.ensure_model(entry)
             spec = {"design": session.design, "seed": session.seed,
-                    "scale": session.scale, "version": session.version}
+                    "scale": session.scale, "version": session.version,
+                    "clock_period": session.clock_period}
             return self.router.submit_delta(
                 entry.name, key, spec, parse_edits(request.edits),
                 include_slack=request.include_slack,

@@ -459,7 +459,7 @@ class PoolWorker:
                 f"(worker at version {have}, parent at "
                 f"{spec['version']})")
         session = DeltaSession(spec["design"], spec["seed"],
-                               spec["scale"], key)
+                               spec["scale"], key, spec["clock_period"])
         self._sessions[key] = session
         self._g_sessions.set(len(self._sessions))
         return session
@@ -467,8 +467,9 @@ class PoolWorker:
     def _execute_delta(self, message, recv_ts):
         # (MSG_DELTA, req_id, model, key, spec, edits, include_slack,
         #  deadline_ts[, trace_ctx]) — spec is {design, seed, scale,
-        #  version}: the session identity plus the parent's post-apply
-        #  version this worker's session must land on.
+        #  version, clock_period}: the session identity, the parent's
+        #  post-apply version this worker's session must land on, and
+        #  the base graph's clock period a new session is built at.
         from ..service import _netdelay_payload, _timing_payload
         (_kind, req_id, model_name, key, spec, edits, include_slack,
          deadline) = message[:8]

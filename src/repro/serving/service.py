@@ -14,15 +14,22 @@ is built on:
 
 Failure policy ("graceful degradation"): if the model cannot answer —
 load failure, or the request's deadline expires before the batch runs —
-the service falls back to the ground-truth STA labels that were computed
-while extracting the graph, and marks the response ``degraded`` instead
-of erroring.  Only invalid requests (unknown design/model, malformed
+the service falls back to ground-truth STA labels and marks the
+response ``degraded`` instead of erroring.  A whole-graph request
+answers from the labels computed while extracting its cached graph.  A
+delta request answers only from labels that describe its session's
+current version; with none it runs the label pass, unless the deadline
+has passed, in which case it fails with :class:`DeadlineExceeded`
+(504) rather than start STA.  A delta request that carries edits and
+is already past its deadline gets that 504 before any edit applies.
+Otherwise only invalid requests (unknown design/model, malformed
 netlist) produce hard errors.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 import uuid
@@ -39,7 +46,7 @@ from .cache import LRUCache
 from .registry import ModelLoadError, ModelRegistry
 
 __all__ = ["PredictRequest", "PredictResponse", "RequestError",
-           "Overloaded", "PredictionService"]
+           "Overloaded", "DeadlineExceeded", "PredictionService"]
 
 
 class RequestError(ValueError):
@@ -60,6 +67,32 @@ class Overloaded(RequestError):
 
     def __init__(self, message="server overloaded; retry later"):
         super().__init__(message, status=503)
+
+
+class DeadlineExceeded(RequestError):
+    """The deadline passed with no labels to degrade to (HTTP 504).
+
+    A delta request whose session has no labels for its current
+    version would need a route + STA label pass to answer degraded;
+    past the deadline the service refuses to start one.  Edits that
+    arrive past the deadline are refused before they apply, so the
+    session is unchanged; only a deadline that passes while edits
+    apply leaves them applied (the message names the new version).
+    """
+
+    def __init__(self, message):
+        super().__init__(message, status=504)
+
+
+def finite_number(value, name):
+    """``value`` as a finite float; anything else is a 400."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise RequestError(f"'{name}' must be a number")
+    if not math.isfinite(value):
+        raise RequestError(f"'{name}' must be finite")
+    return value
 
 
 @dataclass
@@ -109,20 +142,14 @@ class PredictRequest:
             raise RequestError("'model' must be a non-empty string")
         try:
             self.seed = int(self.seed)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise RequestError("'seed' must be an integer")
         if self.scale is not None:
-            try:
-                self.scale = float(self.scale)
-            except (TypeError, ValueError):
-                raise RequestError("'scale' must be a number")
+            self.scale = finite_number(self.scale, "scale")
             if self.scale <= 0:
                 raise RequestError("'scale' must be positive")
         if self.deadline_ms is not None:
-            try:
-                self.deadline_ms = float(self.deadline_ms)
-            except (TypeError, ValueError):
-                raise RequestError("'deadline_ms' must be a number")
+            self.deadline_ms = finite_number(self.deadline_ms, "deadline_ms")
             if self.deadline_ms < 0:
                 raise RequestError("'deadline_ms' must be >= 0")
         self.include_slack = bool(self.include_slack)
@@ -469,14 +496,17 @@ class PredictionService:
         from .delta import DeltaRequest
         request = DeltaRequest(design=design, seed=seed,
                                scale=scale).validate()
-        return self._session_for(request, self._graph_key(request))
+        base, key, _hit = self.resolve_graph(request.base_request())
+        return self._session_for(request, key, base.clock_period)
 
-    def _session_for(self, request, key):
+    def _session_for(self, request, key, clock_period):
+        """The session for ``key``; a new one runs the feature pass only,
+        at the cached base graph's ``clock_period``."""
         from .delta import DeltaSession
         scale = self._effective_scale(request)
         session, _hit = self.delta_sessions.get_or_create(
             key, lambda: DeltaSession(request.design, request.seed,
-                                      scale, key))
+                                      scale, key, clock_period))
         return session
 
     def predict_delta(self, request):
@@ -504,6 +534,11 @@ class PredictionService:
                 self.slo.record(None, ok=False)
                 span.set(error=str(exc), shed=True)
                 raise
+            except DeadlineExceeded as exc:
+                self._bump("deadline_fallbacks")
+                self.slo.record(None, ok=False)
+                span.set(error=str(exc), deadline=True)
+                raise
             except RequestError as exc:
                 self._bump("errors")
                 span.set(error=str(exc))
@@ -525,7 +560,7 @@ class PredictionService:
         # this validates the design name and pins the shard key the
         # pooled tier routes by.  The cached base graph itself is never
         # mutated — the session owns a private rebuild.
-        _graph, key, _hit = self.resolve_graph(request.base_request())
+        base, key, _hit = self.resolve_graph(request.base_request())
         try:
             edits = parse_edits(request.edits)
         except EditError as exc:
@@ -540,7 +575,16 @@ class PredictionService:
         except ModelLoadError:
             self._bump("model_fallbacks")
 
-        session = self._session_for(request, key)
+        remaining = request.remaining_s()
+        if edits and remaining is not None and remaining <= 0:
+            # No labels describe a version an edit creates and no label
+            # pass may start past the deadline, so this can only end in
+            # a 504: refuse before any mutation, so a retry is safe.
+            raise DeadlineExceeded(
+                f"deadline passed before {len(edits)} edit(s) were "
+                f"applied; session unchanged")
+
+        session = self._session_for(request, key, base.clock_period)
         with session.lock:
             if edits:
                 self._counters["delta_edits"].inc(len(edits))
@@ -554,16 +598,9 @@ class PredictionService:
             span.set(graph_version=session.version)
 
             if entry is None:
-                # Broken checkpoint: answer from the session's ground
-                # truth (the patcher keeps its labels in sync per edit).
-                return PredictResponse(
-                    request_id=request.request_id, design=request.design,
-                    model=request.model, model_version="unavailable",
-                    kind="timing", degraded=True, cache_hit=False,
-                    batch_size=0, latency_ms=0.0,
-                    graph_version=session.version, num_edits=len(edits),
-                    prediction=self._truth_payload(
-                        "timing", session.hetero, request.include_slack))
+                # Broken checkpoint: answer from the session's labels.
+                return self._delta_degraded(request, None, session, base,
+                                            len(edits))
 
             result_key = (entry.name, entry.version, key, session.nonce,
                           session.version, bool(request.include_slack),
@@ -580,30 +617,18 @@ class PredictionService:
                     prediction=cached)
 
             remaining = request.remaining_s()
-            if remaining is not None and remaining <= 0:
+            expired = remaining is not None and remaining <= 0
+            if not expired:
+                try:
+                    payload, batch_size = self._execute_delta(
+                        entry, key, session, request)
+                except BatchTimeout:
+                    expired = True
+            if expired:
+                response = self._delta_degraded(request, entry, session,
+                                                base, len(edits))
                 self._bump("deadline_fallbacks")
-                return PredictResponse(
-                    request_id=request.request_id, design=request.design,
-                    model=entry.name, model_version=entry.version,
-                    kind=entry.kind, degraded=True, cache_hit=False,
-                    batch_size=0, latency_ms=0.0,
-                    graph_version=session.version, num_edits=len(edits),
-                    prediction=self._truth_payload(
-                        entry.kind, session.hetero, request.include_slack))
-
-            try:
-                payload, batch_size = self._execute_delta(entry, key,
-                                                          session, request)
-            except BatchTimeout:
-                self._bump("deadline_fallbacks")
-                return PredictResponse(
-                    request_id=request.request_id, design=request.design,
-                    model=entry.name, model_version=entry.version,
-                    kind=entry.kind, degraded=True, cache_hit=False,
-                    batch_size=0, latency_ms=0.0,
-                    graph_version=session.version, num_edits=len(edits),
-                    prediction=self._truth_payload(
-                        entry.kind, session.hetero, request.include_slack))
+                return response
             if not request.no_cache:
                 self.result_cache.put(result_key, payload)
             return PredictResponse(
@@ -613,6 +638,35 @@ class PredictionService:
                 batch_size=batch_size, latency_ms=0.0,
                 graph_version=session.version, num_edits=len(edits),
                 prediction=payload)
+
+    def _delta_degraded(self, request, entry, session, base, num_edits):
+        """Ground-truth answer for a delta request (session locked).
+
+        Uses labels that describe the session's current version: the
+        cached base graph's at version 0, the last label pass's after
+        that.  With none it runs the label pass first, unless the
+        deadline has passed: then it raises :class:`DeadlineExceeded`
+        and never starts STA.
+        """
+        graph = base if session.version == 0 else session.labelled()
+        if graph is None:
+            remaining = request.remaining_s()
+            if remaining is not None and remaining <= 0:
+                raise DeadlineExceeded(
+                    f"deadline passed with no ground-truth labels to "
+                    f"degrade to (session at version {session.version})")
+            graph = session.materialize()
+        kind = entry.kind if entry is not None else "timing"
+        return PredictResponse(
+            request_id=request.request_id, design=request.design,
+            model=entry.name if entry is not None else request.model,
+            model_version=(entry.version if entry is not None
+                           else "unavailable"),
+            kind=kind, degraded=True, cache_hit=False, batch_size=0,
+            latency_ms=0.0, graph_version=session.version,
+            num_edits=num_edits,
+            prediction=self._truth_payload(kind, graph,
+                                           request.include_slack))
 
     def _execute_delta(self, entry, key, session, request):
         """Cone-limited forward for one delta request (session locked).

@@ -23,7 +23,8 @@ from ..liberty.cell import EL_RF
 from ..obs import get_registry, get_tracer
 from .graph import build_timing_graph
 
-__all__ = ["TimingResult", "run_sta", "CORNER_INDEX", "LN9"]
+__all__ = ["TimingResult", "run_sta", "endpoint_required", "CORNER_INDEX",
+           "LN9", "PO_MARGIN_FRAC"]
 
 CORNER_INDEX = {pair: i for i, pair in enumerate(EL_RF)}
 EARLY_COLS = (0, 1)
@@ -31,6 +32,8 @@ LATE_COLS = (2, 3)
 # PERI slew degradation constant: the 10-90% ramp of an RC step response
 # stretches by ~ln(9) per unit Elmore delay.
 LN9 = float(np.log(9.0))
+# Primary outputs must settle this fraction of the clock period early.
+PO_MARGIN_FRAC = 0.05
 
 
 def degrade_slew(slew, elmore):
@@ -232,23 +235,38 @@ def compute_node(graph, routing, result, node, tolerance=0.0):
     return bool(np.any(np.abs(old[valid] - new[valid]) > tolerance))
 
 
-def _set_required_at_endpoints(graph, result, clock_period, po_margin_frac):
-    """Setup/hold required times at register D pins and primary outputs."""
-    req = result.required
-    for node in graph.endpoint_nodes():
+def endpoint_required(graph, nodes, clock_period,
+                      po_margin_frac=PO_MARGIN_FRAC):
+    """Static required times (ps) at the endpoint ``nodes``: (len, 4).
+
+    Register D pins need ``clock_period - setup`` (late) and ``hold``
+    (early); primary outputs need the clock period less a margin (late)
+    and 0 (early).  Only the clock period and the endpoint cell types
+    enter, so the label-free feature pass and STA share this rule.
+    """
+    rows = np.empty((len(nodes), 4))
+    for i, node in enumerate(nodes):
         pin = graph.node_pins[node]
-        result.endpoint_mask[node] = True
         if pin.is_primary_output:
             margin = po_margin_frac * clock_period
-            req[node, LATE_COLS] = clock_period - margin
-            req[node, EARLY_COLS] = 0.0
+            rows[i, LATE_COLS] = clock_period - margin
+            rows[i, EARLY_COLS] = 0.0
         else:
             setup = pin.cell.cell_type.setup
             hold = pin.cell.cell_type.hold
             for col in LATE_COLS:
-                req[node, col] = clock_period - setup[col]
+                rows[i, col] = clock_period - setup[col]
             for col in EARLY_COLS:
-                req[node, col] = hold[col]
+                rows[i, col] = hold[col]
+    return rows
+
+
+def _set_required_at_endpoints(graph, result, clock_period, po_margin_frac):
+    """Setup/hold required times at register D pins and primary outputs."""
+    nodes = graph.endpoint_nodes()
+    result.endpoint_mask[nodes] = True
+    result.required[nodes] = endpoint_required(graph, nodes, clock_period,
+                                               po_margin_frac)
 
 
 def _propagate_backward(graph, routing, result):
@@ -294,7 +312,7 @@ def _propagate_backward(graph, routing, result):
 
 
 def derive_clock_period(graph, result, library, slack_quantile=0.85,
-                        po_margin_frac=0.05):
+                        po_margin_frac=PO_MARGIN_FRAC):
     """Pick a clock period so endpoint setup slacks straddle zero.
 
     Uses the already-propagated arrivals in ``result`` and sets T at the
@@ -317,7 +335,7 @@ def derive_clock_period(graph, result, library, slack_quantile=0.85,
 
 
 def run_sta(design, placement, routing, clock_period=None, graph=None,
-            po_margin_frac=0.05):
+            po_margin_frac=PO_MARGIN_FRAC):
     """Run full 4-corner STA; returns a :class:`TimingResult`.
 
     When ``clock_period`` is None it is derived per design so that a

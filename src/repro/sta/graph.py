@@ -101,6 +101,24 @@ class TimingGraph:
     def fanout_degree(self, node):
         return len(self._out_net[node]) + len(self._out_cell[node])
 
+    # -- edits -----------------------------------------------------------------
+    def resize_cell(self, cell, new_cell_type):
+        """Swap ``cell`` to a pin-compatible library cell in place.
+
+        Rebinds the arcs of the cell's edges to the new type.  Returns
+        the nets of the cell's timed pins: their loads (input caps) or
+        drivers changed.
+        """
+        if set(new_cell_type.pins) != set(cell.cell_type.pins):
+            raise ValueError("resize requires pin-compatible cell types")
+        cell.cell_type = new_cell_type
+        for edge in self.cell_edges:
+            if edge.cell is cell:
+                edge.arc = new_cell_type.arc(edge.arc.input_pin,
+                                             edge.arc.output_pin)
+        return {pin.net for pin in cell.pins.values()
+                if not pin.is_clock and pin.net is not None}
+
     # -- levelization ------------------------------------------------------------
     def levelize(self):
         """Longest-path levels (Kahn's algorithm); raises on cycles."""

@@ -30,8 +30,9 @@ from ..liberty.cell import CORNERS
 from ..routing.rctree import extract_rc_tree
 from ..routing.router import RoutedNet
 from ..routing.steiner import build_steiner_tree
-from .engine import (_propagate_backward, _set_required_at_endpoints,
-                     compute_node, init_source_node)
+from .engine import (PO_MARGIN_FRAC, _propagate_backward,
+                     _set_required_at_endpoints, compute_node,
+                     init_source_node)
 
 __all__ = ["IncrementalTimer"]
 
@@ -57,39 +58,21 @@ class IncrementalTimer:
     # -- edits -----------------------------------------------------------------
     def move_cell(self, cell, new_xy):
         """Move a cell instance to ``new_xy`` and update timing."""
-        new_xy = np.asarray(new_xy, dtype=np.float64)
-        cell_index = self.design.cells.index(cell)
-        self.placement.cell_xy[cell_index] = new_xy
-        dirty_nets = set()
-        for pin in cell.pins.values():
-            if pin.is_clock or pin.net is None:
-                continue
-            self.placement.pin_xy[pin.index] = self.placement.die.clamp(
-                new_xy + self.placement._pin_offset(pin))
-            dirty_nets.add(pin.net)
-        self._reroute(dirty_nets)
-        self._update_forward(self._seeds_for_nets(dirty_nets))
-        return self
+        return self.update(self.placement.move_cell(cell, new_xy))
 
     def resize_cell(self, cell, new_cell_type):
         """Swap a cell to a different library cell with identical pins."""
-        old_pins = set(cell.cell_type.pins)
-        if set(new_cell_type.pins) != old_pins:
-            raise ValueError("resize requires pin-compatible cell types")
-        cell.cell_type = new_cell_type
-        dirty_nets = set()
-        for pin in cell.pins.values():
-            if pin.is_clock or pin.net is None:
-                continue
-            dirty_nets.add(pin.net)   # input caps changed -> loads changed
-        # Cell arcs changed: the arc objects in the timing graph belong
-        # to the old cell type; rebind them.
-        for edge in self.graph.cell_edges:
-            if edge.cell is cell:
-                edge.arc = new_cell_type.arc(edge.arc.input_pin,
-                                             edge.arc.output_pin)
-        self._reroute(dirty_nets)
-        self._update_forward(self._seeds_for_nets(dirty_nets))
+        return self.update(self.graph.resize_cell(cell, new_cell_type))
+
+    def update(self, nets):
+        """Re-route ``nets`` and re-time the fanout cone of their pins.
+
+        ``nets`` are the nets one or more edits touched.  At
+        ``tolerance=0`` one call over their union times the design
+        exactly as one call per edit would.
+        """
+        self._reroute(nets)
+        self._update_forward(self._seeds_for_nets(nets))
         return self
 
     # -- queries ---------------------------------------------------------------
@@ -104,7 +87,7 @@ class IncrementalTimer:
         self.result.required[:] = np.nan
         _set_required_at_endpoints(self.graph, self.result,
                                    self.result.clock_period,
-                                   po_margin_frac=0.05)
+                                   po_margin_frac=PO_MARGIN_FRAC)
         _propagate_backward(self.graph, self.routing, self.result)
         return self
 

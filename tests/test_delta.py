@@ -10,22 +10,31 @@ from scratch (full re-route + full STA + full extraction + whole-graph
 forward) and require equality — bit-for-bit on graph feature arrays,
 the dtype contract tolerance on model predictions — across edit kinds,
 LUT modes, kernel backends, edit sequences (hypothesis), the in-process
-service, the pre-fork pool, and the HTTP front-end.
+service, the pre-fork pool, and the HTTP front-end.  Labels are compared
+after the lazy label pass (``materialize()``).  The request path itself
+is pinned label-free (no routing, STA or incremental timer), and its
+degraded answers use only labels of the current version or fail with a
+504.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
+import sys
 import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from repro import nn
+from repro.flow import Flow
 from repro.graphdata import extract_graph
 from repro.graphdata.hetero import HeteroGraph
 from repro.graphdata.patch import EditError, parse_edits
@@ -34,7 +43,7 @@ from repro.models import ModelConfig, NetEmbedding, TimingGNN
 from repro.netlist import build_benchmark
 from repro.placement import place_design
 from repro.routing import route_design
-from repro.serving import (DeltaSession, ModelRegistry,
+from repro.serving import (DeadlineExceeded, DeltaSession, ModelRegistry,
                            PooledPredictionService, PredictionService,
                            RequestError, ServingServer)
 from repro.serving.registry import ModelEntry
@@ -55,6 +64,13 @@ _LABEL_FIELDS = ("net_delay", "arrival", "slew", "required",
 
 
 # -- fixtures ------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def base_clock():
+    """Clock period of the cached base graph a service would build."""
+    return Flow.from_benchmark(DESIGN, scale=SCALE).place(seed=1) \
+        .extract().clock_period
+
+
 @pytest.fixture(scope="module")
 def toy_model():
     return TimingGNN(ModelConfig.benchmark())
@@ -147,6 +163,15 @@ def _resize_edit(patcher):
     pytest.skip("no resizable cell in benchmark")
 
 
+def _register_resize_edit(patcher):
+    """DFF_X1 -> DFF_X2: new setup/hold move the D-pin endpoint rows."""
+    for cell in patcher.design.cells:
+        if cell.cell_type.name == "DFF_X1":
+            return {"op": "resize_cell", "cell": cell.name,
+                    "cell_type": "DFF_X2"}
+    pytest.skip("no DFF_X1 register in benchmark")
+
+
 def _buffer_candidates(patcher):
     for net in patcher.design.nets:
         if net.driver is None or net.driver.is_clock:
@@ -186,6 +211,15 @@ class TestParseEdits:
         with pytest.raises(EditError):
             parse_edits(["not a dict"])
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_coordinates(self, bad):
+        edit = json.loads(f'{{"op": "move_cell", "cell": "u1", '
+                          f'"x": {bad}, "y": 1.0}}')
+        with pytest.raises(EditError, match="finite"):
+            parse_edits([edit])
+        with pytest.raises(EditError, match="finite"):
+            parse_edits([dict(edit, x=1.0, y=edit["x"])])
+
 
 # -- edit-kind differentials, both kernel backends -----------------------------
 class TestEditDifferential:
@@ -199,11 +233,13 @@ class TestEditDifferential:
             toy_model = TimingGNN(dataclasses.replace(toy_model.cfg,
                                                       lut_mode=lut_mode))
         with nn.use_kernels(backend):
-            session = DeltaSession(DESIGN, 1, SCALE, key="diff")
+            session = DeltaSession(DESIGN, 1, SCALE, key="diff",
+                                   clock_period=base_clock())
             entry = _entry(toy_model)
             edits = [
                 _move_edit(session.patcher),
                 _resize_edit(session.patcher),
+                _register_resize_edit(session.patcher),
                 _buffer_edit(session.patcher, name="tbuf0"),
                 {"op": "remove_buffer", "name": "tbuf0"},
             ]
@@ -211,16 +247,50 @@ class TestEditDifferential:
                 session.apply(parse_edits([edit]))
                 state, stats = session.refresh(entry)
                 assert session.version == i + 1
-                session.materialize()
                 ref = full_reextract(session.patcher)
+                # Served slack reads the endpoint mask and required rows
+                # before any label pass: they must already be exact.
+                eps = ref.is_endpoint
+                np.testing.assert_array_equal(session.hetero.is_endpoint,
+                                              eps)
+                np.testing.assert_array_equal(session.hetero.required[eps],
+                                              ref.required[eps])
+                session.materialize()
                 assert_graph_matches(session.hetero, ref)
                 assert_predictions_match(state, ref, toy_model)
+
+    def test_one_label_pass_over_pending_edits(self, monkeypatch):
+        """One timer update over the union of several pending moves and
+        resizes labels the design exactly as one update per edit does."""
+        per_edit, batched = (
+            DeltaSession(DESIGN, 1, SCALE, key=key, clock_period=base_clock())
+            for key in ("per-edit", "batched"))
+        per_edit.materialize()
+        batched.materialize()
+        edits = [_move_edit(per_edit.patcher),
+                 _resize_edit(per_edit.patcher),
+                 _register_resize_edit(per_edit.patcher),
+                 _move_edit(per_edit.patcher, frac=(0.6, 0.3), idx=9)]
+        for edit in edits:
+            per_edit.apply(parse_edits([edit]))
+            per_edit.materialize()
+        calls = _spy_label_layers(monkeypatch)
+        batched.apply(parse_edits(edits))
+        batched.materialize()
+        assert calls == ["IncrementalTimer"]
+        for name in HeteroGraph._ARRAY_FIELDS:
+            np.testing.assert_array_equal(getattr(batched.hetero, name),
+                                          getattr(per_edit.hetero, name),
+                                          err_msg=name)
+        assert_graph_matches(batched.hetero,
+                             full_reextract(batched.patcher))
 
     def test_cone_refresh_is_actually_partial(self, toy_model,
                                               monkeypatch):
         """A single move re-executes a cone, not the whole graph, and
         embeds only the pins of the nets that touch the moved cell."""
-        session = DeltaSession(DESIGN, 1, SCALE, key="cone")
+        session = DeltaSession(DESIGN, 1, SCALE, key="cone",
+                               clock_period=base_clock())
         entry = _entry(toy_model)
         _, stats = session.refresh(entry)
         assert stats["full"]
@@ -253,7 +323,8 @@ class TestEditDifferential:
         assert view.num_nodes < 0.1 * n
 
     def test_structural_edit_forces_full_refresh(self, toy_model):
-        session = DeltaSession(DESIGN, 1, SCALE, key="full")
+        session = DeltaSession(DESIGN, 1, SCALE, key="full",
+                               clock_period=base_clock())
         entry = _entry(toy_model)
         session.refresh(entry)
         session.apply(parse_edits([_buffer_edit(session.patcher,
@@ -280,7 +351,7 @@ def _concretize(patcher, op, rng, stack, i):
                 "y": float(rng.uniform(0, die.height))}
     if op == "resize":
         library = patcher.design.library
-        cells = patcher.design.combinational_cells
+        cells = patcher.design.cells
         order = rng.permutation(len(cells))
         for j in order:
             cell = cells[int(j)]
@@ -308,29 +379,40 @@ class TestDeltaSequenceProperty:
                                          "insert", "remove"]),
                         min_size=1, max_size=20),
            seed=st.integers(0, 2**31 - 1))
+    # Always: a buffer edit, then moves and resizes pending together.
+    @example(ops=["move", "insert", "move", "resize", "move", "resize"],
+             seed=7)
     def test_incremental_state_equals_from_scratch(self, toy_model, ops,
                                                    seed):
         """1-20 random mixed deltas: the incrementally maintained session
-        equals (a) a fresh session replaying the same edits with a full
-        forward and (b) a from-scratch batch re-extraction."""
+        equals (a) a fresh label-free session replaying the same edits
+        with a full forward and one full-STA label pass and (b) a
+        from-scratch batch re-extraction.  The session's final labels
+        come from one incremental timer update over every edit since
+        its last full label pass (the start or the last buffer edit)."""
         rng = np.random.default_rng(seed)
-        session = DeltaSession(DESIGN, 1, SCALE, key="prop")
+        session = DeltaSession(DESIGN, 1, SCALE, key="prop",
+                               clock_period=base_clock())
         entry = _entry(toy_model)
         session.refresh(entry)
+        session.materialize()             # full STA; later passes: cones
         stack, applied = [], []
         for i, op in enumerate(ops):
             edit = _concretize(session.patcher, op, rng, stack, i)
             applied.append(edit)
             session.apply(parse_edits([edit]))
             session.refresh(entry)        # refresh per edit: cones chain
+            if session.dirty_log[-1].structural:
+                session.materialize()     # new netlist: full STA again
         state, _ = session.refresh(entry)
-        session.materialize()
+        session.materialize()             # one cone over the pending union
 
-        replay = DeltaSession(DESIGN, 1, SCALE, key="prop-replay")
+        replay = DeltaSession(DESIGN, 1, SCALE, key="prop-replay",
+                              clock_period=base_clock())
         replay.apply(parse_edits(applied))
         rstate, rstats = replay.refresh(_entry(toy_model))
         assert rstats["full"]             # fresh state: whole-graph pass
-        replay.materialize()
+        replay.materialize()              # label-free: route + full STA
 
         assert session.version == replay.version == len(applied)
         for name in HeteroGraph._ARRAY_FIELDS:
@@ -471,6 +553,208 @@ class TestServiceDrivenOpt:
             [c.name for c in flow.design.cells]
 
 
+# -- the label-free request path and its degraded answers ----------------------
+def _spy_label_layers(monkeypatch):
+    """Record calls of ``route_design``, ``run_sta`` and every
+    ``IncrementalTimer`` construction, under any name a repro module
+    holds them by."""
+    from repro import routing, sta
+    calls = []
+    for fn in (routing.route_design, sta.run_sta):
+        def spy(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, fn.__name__, None) is fn):
+                monkeypatch.setattr(module, fn.__name__, spy)
+    init = IncrementalTimer.__init__
+
+    def spy_init(self, *args, **kwargs):
+        calls.append("IncrementalTimer")
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(IncrementalTimer, "__init__", spy_init)
+    return calls
+
+
+def _counts(service):
+    stats = service.stats()
+    return (stats["counts"]["deadline_fallbacks"],
+            stats["counts"]["errors"], stats["slo"]["bad"])
+
+
+class TestLabelFreeDelta:
+    def test_edits_and_refresh_never_route_or_time(self, toy_model,
+                                                   monkeypatch):
+        """Session build, every edit kind and the cone refresh run no
+        routing and no STA; labels come only from materialize()."""
+        clock = base_clock()
+        calls = _spy_label_layers(monkeypatch)
+        session = DeltaSession(DESIGN, 1, SCALE, key="spy",
+                               clock_period=clock)
+        entry = _entry(toy_model)
+        session.refresh(entry)
+        for edit in (_move_edit(session.patcher),
+                     _resize_edit(session.patcher),
+                     _register_resize_edit(session.patcher),
+                     _buffer_edit(session.patcher, name="sbuf0"),
+                     {"op": "remove_buffer", "name": "sbuf0"}):
+            session.apply(parse_edits([edit]))
+            session.refresh(entry)
+        assert calls == []
+        assert session.labelled() is None
+
+        session.materialize()       # no result yet: route + full STA
+        assert calls == ["route_design", "run_sta"]
+        assert session.labelled() is session.hetero
+        session.apply(parse_edits([_move_edit(session.patcher, idx=2)]))
+        assert session.labelled() is None
+        session.materialize()       # pending dirty nets: one cone update
+        assert calls[2:] == ["IncrementalTimer"]
+        assert_graph_matches(session.hetero,
+                             full_reextract(session.patcher))
+
+    def test_non_finite_move_leaves_the_session_untouched(self, service):
+        session = service.delta_session(DESIGN)
+        edit = _move_edit(session.patcher)
+        service.predict_delta({"design": DESIGN, "model": "toy",
+                               "edits": [edit]})
+        pin_xy = session.patcher.placement.pin_xy.copy()
+        # A valid edit ahead of the bad one must not apply either.
+        body = json.loads(json.dumps(
+            {"design": DESIGN, "model": "toy",
+             "edits": [_move_edit(session.patcher, idx=3),
+                       dict(edit, x=float("nan"))]}))
+        with pytest.raises(RequestError) as err:
+            service.predict_delta(body)
+        assert err.value.status == 400
+        assert session.version == 1
+        np.testing.assert_array_equal(session.patcher.placement.pin_xy,
+                                      pin_xy)
+        after = service.predict_delta({"design": DESIGN, "model": "toy",
+                                       "edits": [edit]})
+        assert math.isfinite(after.prediction["tns_setup_ps"])
+        assert math.isfinite(after.prediction["tns_hold_ps"])
+
+    @pytest.mark.parametrize("method", ["predict", "predict_delta"])
+    @pytest.mark.parametrize("field", ["deadline_ms", "scale", "seed"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_a_400(self, service, method, field,
+                                          value):
+        body = json.loads(f'{{"design": "{DESIGN}", "model": "toy", '
+                          f'"edits": [], "{field}": {value}}}')
+        if method == "predict":
+            del body["edits"]
+        with pytest.raises(RequestError) as err:
+            getattr(service, method)(body)
+        assert err.value.status == 400
+
+
+class TestDeltaDegraded:
+    """Degraded delta answers come only from labels that describe the
+    session's current version, and never start STA past the deadline."""
+
+    def test_expired_deadline_answers_from_current_labels(self, service):
+        before = _counts(service)
+        base = Flow.from_benchmark(DESIGN, scale=SCALE).place(seed=1) \
+            .extract()
+        expired = {"design": DESIGN, "model": "toy", "edits": [],
+                   "deadline_ms": 0, "no_cache": True}
+        # Version 0: the cached base graph's labels.
+        response = service.predict_delta(dict(expired))
+        assert response.degraded and response.graph_version == 0
+        assert response.prediction == _timing_payload(base, base.arrival,
+                                                      False)
+        # After an edit and a label pass: that pass's labels.
+        session = service.delta_session(DESIGN)
+        service.predict_delta({"design": DESIGN, "model": "toy",
+                               "edits": [_move_edit(session.patcher)]})
+        session.materialize()
+        response = service.predict_delta(dict(expired))
+        assert response.degraded and response.graph_version == 1
+        ref = full_reextract(session.patcher)
+        assert response.prediction == _timing_payload(ref, ref.arrival,
+                                                      False)
+        fallbacks, errors, bad = _counts(service)
+        assert fallbacks == before[0] + 2 and errors == before[1]
+
+    def test_expired_deadline_refuses_edits_before_they_apply(
+            self, service, monkeypatch):
+        session = service.delta_session(DESIGN)
+        edit = _move_edit(session.patcher)
+        pin_xy = session.patcher.placement.pin_xy.copy()
+        before = _counts(service)
+        calls = _spy_label_layers(monkeypatch)
+        with pytest.raises(DeadlineExceeded) as err:
+            service.predict_delta({"design": DESIGN, "model": "toy",
+                                   "edits": [edit], "deadline_ms": 0})
+        assert err.value.status == 504
+        assert "session unchanged" in str(err.value)
+        assert calls == []
+        assert session.version == 0
+        np.testing.assert_array_equal(session.patcher.placement.pin_xy,
+                                      pin_xy)
+        assert _counts(service) == (before[0] + 1, before[1], before[2] + 1)
+        # The retry applies the edit exactly once.
+        response = service.predict_delta({"design": DESIGN, "model": "toy",
+                                          "edits": [edit]})
+        assert response.graph_version == session.version == 1
+
+    def test_expired_deadline_with_stale_labels_is_a_504(self, service,
+                                                         monkeypatch):
+        session = service.delta_session(DESIGN)
+        service.predict_delta({"design": DESIGN, "model": "toy",
+                               "edits": [_move_edit(session.patcher)]})
+        before = _counts(service)
+        calls = _spy_label_layers(monkeypatch)
+        with pytest.raises(DeadlineExceeded) as err:
+            service.predict_delta({"design": DESIGN, "model": "toy",
+                                   "edits": [], "deadline_ms": 0,
+                                   "no_cache": True})
+        assert err.value.status == 504
+        assert "session at version 1" in str(err.value)
+        assert calls == []
+        assert session.version == 1
+        assert session.labelled() is None
+        assert _counts(service) == (before[0] + 1, before[1], before[2] + 1)
+
+    def test_broken_checkpoint_runs_the_label_pass(self, toy_model,
+                                                   monkeypatch):
+        registry = _toy_registry(toy_model)
+
+        def broken():
+            raise RuntimeError("corrupt checkpoint")
+        registry.register("broken", broken)
+        svc = PredictionService(registry=registry, scale=SCALE)
+        try:
+            session = svc.delta_session(DESIGN)
+            edit = _move_edit(session.patcher)
+            response = svc.predict_delta({"design": DESIGN,
+                                          "model": "broken",
+                                          "edits": [edit]})
+            assert response.degraded and response.graph_version == 1
+            assert response.model_version == "unavailable"
+            assert session.labelled() is session.hetero
+            ref = full_reextract(session.patcher)
+            assert response.prediction == _timing_payload(
+                ref, ref.arrival, False)
+            # Same checkpoint past the deadline: an edit would leave no
+            # labels for its version -> 504, session unchanged.
+            calls = _spy_label_layers(monkeypatch)
+            expired = {"design": DESIGN, "model": "broken",
+                       "deadline_ms": 0}
+            with pytest.raises(DeadlineExceeded):
+                svc.predict_delta(dict(expired, edits=[
+                    _move_edit(session.patcher, idx=2)]))
+            assert session.version == 1
+            # Without edits the labels of version 1 still answer.
+            again = svc.predict_delta(dict(expired, edits=[]))
+            assert again.degraded and again.prediction == response.prediction
+            assert calls == []
+        finally:
+            svc.close()
+
+
 # -- through the pre-fork pool -------------------------------------------------
 class TestPooledDelta:
     @pytest.mark.parametrize("backend", ["fused", "naive"])
@@ -535,12 +819,14 @@ class TestWorkerDeltaInProcess:
         model_spec = {"kind": "timing", "cls": "TimingGNN",
                       "config": toy_model.cfg}
 
-        local = DeltaSession(DESIGN, 1, SCALE, key="wk")
+        local = DeltaSession(DESIGN, 1, SCALE, key="wk",
+                             clock_period=base_clock())
         entry = _entry(toy_model)
         edit1 = parse_edits([_move_edit(local.patcher, idx=3)])
         edit2 = parse_edits([_move_edit(local.patcher, idx=9,
                                         frac=(0.6, 0.3))])
-        spec = {"design": DESIGN, "seed": 1, "scale": SCALE}
+        spec = {"design": DESIGN, "seed": 1, "scale": SCALE,
+                "clock_period": base_clock()}
         ctx = ("feedfacecafebeef", "1234abcd5678ef00", time.time())
 
         qin, qout = queue.Queue(), queue.Queue()
@@ -646,6 +932,15 @@ class TestHTTPDelta:
                           {"design": DESIGN, "model": "toy",
                            "edits": [{"op": "explode"}]})
         assert status == 400
+
+    def test_delta_endpoint_504_past_deadline_without_labels(self, server):
+        session = server.service.delta_session(DESIGN)
+        status, body = _post(server.url + "/predict/delta",
+                             {"design": DESIGN, "model": "toy",
+                              "edits": [_move_edit(session.patcher)],
+                              "deadline_ms": 0})
+        assert status == 504 and "error" in body
+        assert session.version == 0
 
 
 # -- IncrementalTimer edge cases (satellite: sta substrate) --------------------

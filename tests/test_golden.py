@@ -21,7 +21,15 @@ import os
 import numpy as np
 import pytest
 
+from repro.graphdata import HeteroGraph
 from repro.graphdata.dataset import DATASET_VERSION, generate_design
+from repro.graphdata.extract import (LABEL_FIELDS, extract_features,
+                                     extract_graph, write_labels)
+from repro.liberty import make_sky130_like_library
+from repro.netlist import build_benchmark
+from repro.placement import place_design
+from repro.routing import route_design
+from repro.sta import build_timing_graph, run_sta
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 _REGEN = os.path.join(os.path.dirname(__file__), "..", "scripts",
@@ -85,3 +93,36 @@ class TestGoldenSTA:
         assert summary["dataset_version"] == DATASET_VERSION, (
             "golden fixtures were generated at a different "
             "DATASET_VERSION; run scripts/regen_golden.py")
+
+
+@pytest.mark.parametrize("name,split", regen.GOLDEN_DESIGNS)
+def test_feature_pass_equals_extract_graph_bitwise(name, split):
+    """The label-free feature pass builds every array of the labelled
+    extraction bit for bit, except the labels it leaves NaN; endpoint
+    required rows come from the static rule and match too.  Adding the
+    label pass gives back the labelled extraction exactly."""
+    design = build_benchmark(name, make_sky130_like_library(),
+                             scale=regen.GOLDEN_SCALE)
+    placement = place_design(design, seed=regen.GOLDEN_SEED)
+    routing = route_design(design, placement)
+    graph = build_timing_graph(design)
+    result = run_sta(design, placement, routing, graph=graph)
+    full = extract_graph(graph, placement, result, split=split)
+    features = extract_features(graph, placement, result.clock_period,
+                                split=split)
+    assert features.clock_period == full.clock_period
+    eps = full.is_endpoint
+    for field in HeteroGraph._ARRAY_FIELDS:
+        ours, theirs = getattr(features, field), getattr(full, field)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        if field == "required":
+            assert ours[eps].tobytes() == theirs[eps].tobytes()
+            assert np.isnan(ours[~eps]).all()
+        elif field in LABEL_FIELDS:
+            assert np.isnan(ours).all(), field
+        else:
+            assert ours.tobytes() == theirs.tobytes(), field
+    write_labels(features, result)
+    for field in HeteroGraph._ARRAY_FIELDS:
+        assert getattr(features, field).tobytes() == \
+            getattr(full, field).tobytes(), field
