@@ -96,26 +96,21 @@ SMOKE_CACHE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_CACHE"' EXIT
 export REPRO_SCALE=0.25 REPRO_EPOCHS=2 REPRO_CACHE_DIR="$SMOKE_CACHE"
 
-# In-process serving suite, then the pre-fork pool suite (shm bit
-# identity, crash/restart, shutdown-leak regression; uses 2 workers),
-# then the delta differential harness (incremental == full re-extract
-# at 1e-9, in-process and through the pool).
+# Serving suite, then the delta differential harness (incremental ==
+# full re-extract at 1e-9, in the service and over HTTP).
 python -m pytest -x -q -m "not slow" tests/test_serving.py tests/test_obs.py
-python -m pytest -x -q -m "not slow" tests/test_pool.py
 python -m pytest -x -q -m "not slow" tests/test_delta.py
 python -m pytest -x -q -m "not slow" tests/test_quality.py
 
-# Pooled benchmark: --workers 2 also drives a single-process reference
-# phase first, so the artefact records workers, per-worker batching
-# stats and the pool speedup.  bench-serve itself exits non-zero when
-# the pooled run never forms a multi-item batch (batch_max <= 1).
-# REPRO_AUDIT_RATE=1 turns on shadow-STA auditing for every served
-# request, so the artefact also proves the quality-monitor path end to
-# end (audit fields asserted below).
+# Serving benchmark: 8 concurrent clients against the service, which
+# must coalesce them into multi-item batches (batch_max > 1, asserted
+# below).  REPRO_AUDIT_RATE=1 turns on shadow-STA auditing for every
+# served request, so the artefact also proves the quality-monitor path
+# end to end (audit fields asserted below).
 REPRO_AUDIT_RATE=1 REPRO_AUDIT_BUDGET=100000 \
 python -m repro.cli bench-serve \
     --clients 8 --requests-per-client 8 --num-designs 3 \
-    --scale 0.25 --epochs 2 --workers 2 --delta \
+    --scale 0.25 --epochs 2 --delta \
     --bench-json BENCH_serving.json
 
 echo "== BENCH_serving.json well-formed check =="
@@ -127,49 +122,26 @@ with open("BENCH_serving.json") as fh:
 required = ["benchmark", "schema_version", "generated_at", "params",
             "clients", "requests", "ok", "errors", "incorrect",
             "warmup_requests", "throughput_rps", "latency_p50_ms",
-            "latency_p99_ms", "server_stats", "workers", "batch_max",
-            "shed", "retries", "single_process", "pool_speedup"]
+            "latency_p99_ms", "server_stats", "batch_max"]
 missing = [key for key in required if key not in bench]
 assert not missing, f"BENCH_serving.json missing keys: {missing}"
 assert bench["benchmark"] == "serving"
 assert bench["requests"] > 0 and bench["ok"] > 0
 assert bench["warmup_requests"] >= 0
 assert bench["throughput_rps"] > 0
-assert bench["workers"] == 2, bench["workers"]
 assert bench["batch_max"] > 1, \
-    f"pooled run never batched (batch_max={bench['batch_max']})"
-pool = bench["server_stats"]["pool"]
-per_worker = pool["per_worker"]
-assert len(per_worker) == bench["workers"]
-for w in per_worker:
-    for key in ("worker", "completed", "batches", "batch_max",
-                "restarts", "latency_p50_ms", "latency_p99_ms",
-                "latency_mean_ms", "requests"):
-        assert key in w, f"per-worker stats missing {key}"
-# Fleet observability: the pooled run must record the aggregated
-# per-worker latency breakdown next to the router-side counters.
-breakdown = bench["per_worker_latency"]
-assert len(breakdown) == bench["workers"]
-for row in breakdown:
-    for key in ("worker", "requests", "latency_p50_ms",
-                "latency_p99_ms", "latency_mean_ms"):
-        assert key in row, f"per_worker_latency missing {key}"
-assert sum(row["requests"] for row in breakdown) > 0, \
-    "fleet aggregation recorded no worker-side requests"
-assert bench["single_process"]["throughput_rps"] > 0
+    f"concurrent run never batched (batch_max={bench['batch_max']})"
 # Shadow-audit gate: the run above served with REPRO_AUDIT_RATE=1, so
 # the artefact must carry a well-formed audit digest with at least one
 # scored sample and a finite slack error.
 import math
 audit = bench["audit"]
-for key in ("samples", "worker_audits", "slack_mae_ps", "drift_score",
-            "rate"):
+for key in ("samples", "slack_mae_ps", "drift_score", "rate"):
     assert key in audit, f"audit stats missing {key}"
 assert audit["samples"] > 0, "shadow auditor scored no requests"
 assert audit["slack_mae_ps"] is not None \
     and math.isfinite(audit["slack_mae_ps"]), audit["slack_mae_ps"]
-print(f"audit ok: {audit['samples']} scored "
-      f"({audit['worker_audits']} in workers), "
+print(f"audit ok: {audit['samples']} scored, "
       f"slack MAE {audit['slack_mae_ps']:.2f} ps")
 # Incremental delta gate: a single-edit /predict/delta iteration must
 # beat the conventional rebuild-and-forward ECO iteration it replaces.
@@ -188,52 +160,7 @@ print(f"BENCH_serving.json ok: {bench['requests']} requests "
       f"({bench['warmup_requests']} warmup, untimed), "
       f"{bench['throughput_rps']:.1f} req/s, "
       f"p50 {bench['latency_p50_ms']:.1f} ms, "
-      f"workers {bench['workers']}, batch max {bench['batch_max']}, "
-      f"pool speedup {bench['pool_speedup']:.2f}x")
-EOF
-
-echo "== pooled /metrics fleet exposition check =="
-# A pooled server's /metrics must expose worker-labeled series merged
-# from the worker-process registries (fleet aggregation), and the
-# summed worker request counters must equal the router's accepted
-# counter once the pool is drained.
-python - <<'EOF'
-import re
-import time
-import urllib.request
-
-from repro.serving import ServingServer
-from repro.serving.pool import PooledPredictionService
-
-service = PooledPredictionService(workers=2, scale=0.25)
-service.warm(models=["timing-full"], designs=["usbf_device"])
-with ServingServer(service) as server:
-    for _ in range(6):
-        urllib.request.urlopen(urllib.request.Request(
-            server.url + "/predict",
-            data=b'{"design": "usbf_device", "no_cache": true}',
-            headers={"Content-Type": "application/json"}), timeout=120)
-    deadline = time.time() + 5.0
-    while time.time() < deadline:
-        text = urllib.request.urlopen(server.url + "/metrics",
-                                      timeout=30).read().decode()
-        # Idle workers snapshot their gauges every 0.25 s, so a
-        # worker-labeled series can appear before the serving worker's
-        # post-request snapshot lands — wait for the counter itself.
-        if 'worker="1"' in text and "repro_worker_requests_total" in text:
-            break
-        time.sleep(0.3)
-assert 'worker="1"' in text, "no worker-labeled series in /metrics"
-assert "repro_worker_requests_total" in text
-service.close()
-pattern = re.compile(
-    r'repro_worker_requests_total\{[^}]*\} ([0-9.]+)')
-worker_total = sum(float(v) for v in pattern.findall(
-    service.metrics_text()))
-accepted = service.metrics.get("repro_pool_requests_total").value
-assert worker_total == accepted > 0, (worker_total, accepted)
-print(f"fleet /metrics ok: worker-labeled series present, "
-      f"{int(worker_total)} worker requests == accepted counter")
+      f"batch max {bench['batch_max']}")
 EOF
 
 echo "== compute benchmark smoke (fused vs. naive kernels) =="

@@ -10,22 +10,18 @@ traced — the floors are calibrated for parent-process coverage.
 
 Covered packages (each with its own test files and an 80% floor):
 
-* ``src/repro/parallel`` — driven by tests/test_parallel.py plus the
-  shm-arena suite in tests/test_pool.py;
+* ``src/repro/parallel`` — the process executor and the artifact
+  store, driven by tests/test_parallel.py;
 * ``src/repro/nn`` — the autograd engine and the fused kernel layer,
   driven by the autograd/module suites plus the model differential
   tests (which push the fused propagation path end to end);
 * ``src/repro/obs`` — metrics/tracing/logging plus the run ledger,
-  tape profiler, HTML report, fleet aggregation and the shadow-audit
-  quality monitor, driven by tests/test_obs.py, tests/test_runs.py,
-  tests/test_fleet.py and tests/test_quality.py;
+  tape profiler, HTML report and ``repro top`` frame, the latency SLO
+  and the shadow-audit quality monitor, driven by tests/test_obs.py,
+  tests/test_runs.py and tests/test_quality.py;
 * ``src/repro/serving`` — the prediction service, HTTP front-end,
-  micro-batcher, delta sessions and the pre-fork pool tier, driven by
-  tests/test_serving.py, tests/test_pool.py, tests/test_delta.py and
-  tests/test_quality.py
-  (the pool worker has a dedicated in-process suite precisely so its
-  logic is traced in the parent — forked worker processes are invisible
-  to settrace);
+  micro-batcher, delta sessions and load generator, driven by
+  tests/test_serving.py, tests/test_delta.py and tests/test_quality.py;
 * ``src/repro/sta`` — the static timing engine, incremental timer and
   path enumeration, driven by tests/test_sta.py,
   tests/test_sta_properties.py, tests/test_incremental.py,
@@ -58,7 +54,7 @@ def _t(*names):
 TARGETS = {
     "parallel": {
         "dir": os.path.join(REPO, "src", "repro", "parallel"),
-        "tests": _t("test_parallel.py", "test_pool.py"),
+        "tests": _t("test_parallel.py"),
     },
     "nn": {
         "dir": os.path.join(REPO, "src", "repro", "nn"),
@@ -67,12 +63,11 @@ TARGETS = {
     },
     "obs": {
         "dir": os.path.join(REPO, "src", "repro", "obs"),
-        "tests": _t("test_obs.py", "test_runs.py", "test_fleet.py",
-                    "test_quality.py"),
+        "tests": _t("test_obs.py", "test_runs.py", "test_quality.py"),
     },
     "serving": {
         "dir": os.path.join(REPO, "src", "repro", "serving"),
-        "tests": _t("test_serving.py", "test_pool.py", "test_delta.py",
+        "tests": _t("test_serving.py", "test_delta.py",
                     "test_quality.py"),
     },
     "sta": {

@@ -16,7 +16,7 @@ Usage (also available as ``python -m repro``):
     repro profile --backend fused        # per-op profile of a train step
     repro report --html -o report.html   # static HTML trajectory report
     repro stats --url http://host:8080   # stats/metrics of a live server
-    repro top --url http://host:8080     # live fleet dashboard (ANSI)
+    repro top --url http://host:8080     # live server dashboard (ANSI)
     repro trace picorv32a -o t.jsonl     # traced flow run -> JSONL spans
     repro trace --export t.jsonl --trace-id 4f...  # one request timeline
     repro write-verilog des -o des.v     # export a benchmark netlist
@@ -191,19 +191,14 @@ def _cmd_predict(args):
     return 0
 
 
-def _build_service(args, workers):
-    """One PredictionService (pooled when ``workers > 0``)."""
-    from .serving import (ModelRegistry, PooledPredictionService,
-                          PredictionService)
+def _build_service(args):
+    """The in-process PredictionService the CLI flags describe."""
+    from .serving import ModelRegistry, PredictionService
 
     registry = ModelRegistry(scale=args.scale, epochs=args.epochs)
-    kwargs = dict(registry=registry, scale=args.scale,
-                  batch_window_ms=args.batch_window_ms,
-                  max_batch=args.max_batch)
-    if workers > 0:
-        return PooledPredictionService(
-            workers=workers, watermark=args.watermark, **kwargs)
-    return PredictionService(**kwargs)
+    return PredictionService(registry=registry, scale=args.scale,
+                             batch_window_ms=args.batch_window_ms,
+                             max_batch=args.max_batch)
 
 
 def _cmd_serve(args):
@@ -212,7 +207,7 @@ def _cmd_serve(args):
 
     from .serving import ServingServer
 
-    service = _build_service(args, args.workers)
+    service = _build_service(args)
     if args.warm:
         print(f"warming model {args.model_variant!r} ...")
         service.warm(models=[args.model_variant])
@@ -220,9 +215,9 @@ def _cmd_serve(args):
                            quiet=False)
 
     # Graceful shutdown: SIGTERM/SIGINT stop accepting, drain in-flight
-    # requests, join the worker pool, and unlink every shm segment.
-    # Handlers go in before the ready line is printed, so a supervisor
-    # reacting to it can signal immediately.
+    # requests and close the service.  Handlers go in before the ready
+    # line is printed, so a supervisor reacting to it can signal
+    # immediately.
     stop = threading.Event()
 
     def _graceful(signum, _frame):
@@ -232,9 +227,7 @@ def _cmd_serve(args):
     signal.signal(signal.SIGTERM, _graceful)
     signal.signal(signal.SIGINT, _graceful)
     host, port = server.address
-    mode = (f"{args.workers} pool workers" if args.workers > 0
-            else "in-process")
-    print(f"serving on http://{host}:{port} ({mode})  "
+    print(f"serving on http://{host}:{port}  "
           f"(POST /predict, GET /models /healthz /stats /metrics)",
           flush=True)
     server.start()
@@ -266,7 +259,7 @@ def _bench_delta(args, designs):
     from .serving.service import PredictRequest
     from .sta import build_timing_graph, run_sta
 
-    service = _build_service(args, 0)
+    service = _build_service(args)
     try:
         service.warm(models=[args.model_variant], designs=designs)
 
@@ -341,71 +334,31 @@ def _cmd_bench_serve(args):
 
     designs = args.designs or benchmark_names("test")[:args.num_designs]
 
-    def drive(workers, label):
-        service = _build_service(args, workers)
-        print(f"[{label}] warming model {args.model_variant!r} and "
-              f"{len(designs)} design graphs ...")
-        service.warm(models=[args.model_variant], designs=designs)
-        try:
-            with ServingServer(service) as server:
-                print(f"[{label}] driving {server.url} with "
-                      f"{args.clients} clients x "
-                      f"{args.requests_per_client} requests over "
-                      f"{designs}")
-                return run_loadgen(
-                    server.url, designs, clients=args.clients,
-                    requests_per_client=args.requests_per_client,
-                    model=args.model_variant,
-                    deadline_ms=args.deadline_ms,
-                    warmup_requests=args.warmup_requests,
-                    no_cache=args.no_cache)
-        finally:
-            service.close()
-
-    single = None
-    if args.workers > 0 and args.single_baseline:
-        # Reference phase: identical load against the in-process service,
-        # so the recorded pool speedup compares like with like.
-        single = drive(0, "single-process reference")
-    label = (f"pool x{args.workers}" if args.workers > 0
-             else "in-process")
-    result = drive(args.workers, label)
+    service = _build_service(args)
+    print(f"warming model {args.model_variant!r} and "
+          f"{len(designs)} design graphs ...")
+    service.warm(models=[args.model_variant], designs=designs)
+    try:
+        with ServingServer(service) as server:
+            print(f"driving {server.url} with {args.clients} clients x "
+                  f"{args.requests_per_client} requests over {designs}")
+            result = run_loadgen(
+                server.url, designs, clients=args.clients,
+                requests_per_client=args.requests_per_client,
+                model=args.model_variant, deadline_ms=args.deadline_ms,
+                warmup_requests=args.warmup_requests,
+                no_cache=args.no_cache)
+    finally:
+        service.close()
     print(format_loadgen_report(result))
 
-    extra = {"workers": args.workers}
-    pool_stats = result.server_stats.get("pool") or {}
-    if pool_stats.get("per_worker"):
-        # Per-worker latency breakdown (fleet-aggregated from the worker
-        # registries); scripts/ci.sh asserts these fields exist for
-        # pooled runs.
-        extra["per_worker_latency"] = [
-            {"worker": w["worker"],
-             "requests": w.get("requests", 0),
-             "latency_p50_ms": w.get("latency_p50_ms", 0.0),
-             "latency_p99_ms": w.get("latency_p99_ms", 0.0),
-             "latency_mean_ms": w.get("latency_mean_ms", 0.0)}
-            for w in pool_stats["per_worker"]]
-    if single is not None:
-        extra["single_process"] = {
-            "throughput_rps": round(single.throughput_rps, 4),
-            "latency_p50_ms": round(single.latency_p50_ms, 4),
-            "latency_p99_ms": round(single.latency_p99_ms, 4),
-            "batch_max": single.batch_max,
-        }
-        if single.throughput_rps > 0:
-            extra["pool_speedup"] = round(
-                result.throughput_rps / single.throughput_rps, 3)
-            print(f"pool speedup vs single process: "
-                  f"{extra['pool_speedup']:.2f}x "
-                  f"({single.throughput_rps:.1f} -> "
-                  f"{result.throughput_rps:.1f} req/s)")
+    extra = {}
     quality = result.server_stats.get("quality") or {}
     if quality.get("enabled"):
         # Shadow-audit digest (REPRO_AUDIT_RATE > 0); scripts/ci.sh
         # asserts these fields are well-formed for audited runs.
         extra["audit"] = {
             "samples": int(quality.get("samples", 0) or 0),
-            "worker_audits": int(quality.get("worker_audits", 0) or 0),
             "slack_mae_ps": quality.get("slack_mae_ps"),
             "drift_score": quality.get("drift_score"),
             "rate": quality.get("rate"),
@@ -432,16 +385,11 @@ def _cmd_bench_serve(args):
             "deadline_ms": args.deadline_ms,
             "batch_window_ms": args.batch_window_ms,
             "max_batch": args.max_batch,
-            "workers": args.workers, "watermark": args.watermark,
             "no_cache": args.no_cache}, extra=extra)
         print(f"wrote {path}")
     bad = result.errors + result.incorrect
     if bad:
         print(f"FAILED: {bad} bad responses", file=sys.stderr)
-        return 1
-    if args.workers > 0 and result.batch_max <= 1:
-        print("FAILED: pooled run never formed a multi-item batch "
-              "(batch_max <= 1)", file=sys.stderr)
         return 1
     return 0
 
@@ -950,13 +898,6 @@ def build_parser():
                    help="training epochs if a checkpoint must be trained")
     p.add_argument("--batch-window-ms", type=float, default=2.0)
     p.add_argument("--max-batch", type=int, default=16)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("REPRO_WORKERS", "0") or 0),
-                   help="predictor worker processes; 0 serves in-process "
-                        "(default: REPRO_WORKERS)")
-    p.add_argument("--watermark", type=int, default=32,
-                   help="per-worker admission watermark; past it requests "
-                        "are shed with 503")
     p.add_argument("--no-warm", dest="warm", action="store_false",
                    help="skip eager model loading at startup")
     p.set_defaults(func=_cmd_serve, warm=True)
@@ -976,19 +917,10 @@ def build_parser():
     p.add_argument("--deadline-ms", type=float, default=None)
     p.add_argument("--batch-window-ms", type=float, default=2.0)
     p.add_argument("--max-batch", type=int, default=16)
-    p.add_argument("--workers", type=int, default=0,
-                   help="predictor worker processes; 0 benches the "
-                        "in-process service")
-    p.add_argument("--watermark", type=int, default=32,
-                   help="per-worker admission watermark (503 past it)")
     p.add_argument("--cached", dest="no_cache", action="store_false",
                    help="let requests hit the server result cache "
                         "(default: bypass it so every request runs a "
                         "real model forward)")
-    p.add_argument("--no-single-baseline", dest="single_baseline",
-                   action="store_false",
-                   help="skip the single-process reference phase before "
-                        "a pooled run")
     p.add_argument("--warmup-requests", type=int, default=None,
                    help="untimed /predict calls before the timed phase "
                         "(default: one per design; 0 disables)")
@@ -1002,8 +934,7 @@ def build_parser():
     p.add_argument("--delta-edits", type=int, default=16,
                    help="number of timed move_cell deltas in the "
                         "--delta phase")
-    p.set_defaults(func=_cmd_bench_serve, no_cache=True,
-                   single_baseline=True)
+    p.set_defaults(func=_cmd_bench_serve, no_cache=True)
 
     p = sub.add_parser("bench-compute",
                        help="benchmark fused vs. naive kernel backends "

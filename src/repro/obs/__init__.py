@@ -1,6 +1,6 @@
 """Observability: metrics, tracing, logging, run ledger and profiling.
 
-The measurement substrate of the reproduction (DESIGN.md §3).  Seven
+The measurement substrate of the reproduction (DESIGN.md §3).  Six
 independent primitives, one import point:
 
 * :mod:`.metrics` — thread-safe :class:`MetricsRegistry` of counters,
@@ -16,7 +16,8 @@ independent primitives, one import point:
   ``REPRO_RUNS_DIR``: every training and bench run leaves a durable
   JSONL record (config fingerprint, loss series, per-design R², bench
   payloads) that ``repro runs``, ``repro bench diff`` and
-  ``repro report --html`` (:mod:`.report`) consume;
+  ``repro report --html`` (:mod:`.report`, which also renders the
+  ``repro top`` dashboard frame) consume;
 * :mod:`.profile` — opt-in tape-level profiler: per-op / per-kernel
   wall time and output bytes on both autograd backends, with backward
   closures attributed per op (``repro profile``);
@@ -24,13 +25,8 @@ independent primitives, one import point:
   shadow-STA audits of served predictions (``REPRO_AUDIT_RATE``), shared
   endpoint accuracy metrics, PSI feature-drift detection against
   train-time :class:`FeatureProfile` references
-  (``REPRO_DRIFT_THRESHOLD``), a rotated JSONL audit log and a rolling
-  accuracy SLO behind ``/healthz``;
-* :mod:`.fleet` — cross-process aggregation for the serving pool:
-  merges per-worker registry snapshots (counters summed, gauges
-  last-write, quantile sketches combined) under a ``worker`` label,
-  tracks a rolling latency SLO, and renders the ``repro top``
-  dashboard.
+  (``REPRO_DRIFT_THRESHOLD``), a rotated JSONL audit log, and the
+  rolling latency and accuracy SLOs behind ``/healthz``.
 
 The flow, STA engine, extraction and training instrument the
 process-wide defaults (:func:`get_registry`, :func:`get_tracer`,
@@ -38,37 +34,33 @@ process-wide defaults (:func:`get_registry`, :func:`get_tracer`,
 co-hosted services stay separable.
 """
 
-from .fleet import (FleetAggregator, SloTracker, merge_sketches,
-                    merge_states, render_top, sketch_quantile)
 from .logging import (LEVELS, Logger, LogManager, configure, get_logger)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       get_registry, set_registry)
 from .profile import (OpStat, Profiler, format_profile_table, profile,
                       profile_train_step)
 from .quality import (AccuracySlo, AuditLog, DriftTracker, FeatureProfile,
-                      QualityMonitor, audit_rate, default_audit_log_path,
-                      drift_threshold)
-from .report import render_html_report, write_html_report
+                      QualityMonitor, SloTracker, audit_rate,
+                      default_audit_log_path, drift_threshold)
+from .report import render_html_report, render_top, write_html_report
 from .runs import (RUNS_SCHEMA_VERSION, RunLedger, config_fingerprint,
                    default_ledger, default_runs_dir, new_run_id,
                    record_run)
 from .tracing import (Span, Tracer, format_span_tree, get_tracer,
-                      iter_trace_records, make_span_record, mint_trace_id)
+                      iter_trace_records, mint_trace_id)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry", "set_registry",
     "Span", "Tracer", "format_span_tree", "get_tracer",
-    "iter_trace_records", "make_span_record", "mint_trace_id",
-    "FleetAggregator", "SloTracker", "merge_sketches", "merge_states",
-    "render_top", "sketch_quantile",
+    "iter_trace_records", "mint_trace_id",
     "LEVELS", "Logger", "LogManager", "configure", "get_logger",
     "RUNS_SCHEMA_VERSION", "RunLedger", "config_fingerprint",
     "default_ledger", "default_runs_dir", "new_run_id", "record_run",
     "OpStat", "Profiler", "profile", "profile_train_step",
     "format_profile_table",
     "AccuracySlo", "AuditLog", "DriftTracker", "FeatureProfile",
-    "QualityMonitor", "audit_rate", "default_audit_log_path",
+    "QualityMonitor", "SloTracker", "audit_rate", "default_audit_log_path",
     "drift_threshold",
-    "render_html_report", "write_html_report",
+    "render_html_report", "render_top", "write_html_report",
 ]

@@ -197,14 +197,13 @@ class Histogram(_Instrument):
         return float(np.quantile(data, q))
 
     def sketch(self, max_points=256):
-        """Mergeable quantile sketch of the stream so far.
+        """Bounded quantile sketch of the stream so far.
 
         Returns ``{count, sum, min, max, sample}`` where ``sample`` is
         the reservoir itself (sorted) while it fits in ``max_points``,
         and an evenly spaced quantile grid of it after — either way a
-        bounded, JSON-friendly stand-in for the distribution that
-        :func:`repro.obs.fleet.merge_sketches` can combine across
-        processes (each point weighted by ``count / len(sample)``).
+        bounded, JSON-friendly stand-in for the distribution (each
+        point stands for ``count / len(sample)`` observations).
         """
         with self._lock:
             count, total = self._count, self._sum
@@ -314,31 +313,6 @@ class MetricsRegistry:
                 {"labels": instrument.labels,
                  "value": instrument.snapshot()})
         return out
-
-    def export_state(self, max_points=256):
-        """Process-portable snapshot of every instrument in the registry.
-
-        ``{name: {kind, help, series: [{labels, value}]}}`` where
-        ``value`` is the raw float for counters/gauges and a mergeable
-        quantile sketch (:meth:`Histogram.sketch`) for histograms — the
-        wire format the fleet aggregator (:mod:`repro.obs.fleet`) ships
-        from pool workers to the parent and merges with a ``worker``
-        label.  Everything in it is JSON/pickle friendly.
-        """
-        with self._lock:
-            helps = dict(self._helps)
-        state = {}
-        for instrument in self.instruments():
-            entry = state.setdefault(
-                instrument.name,
-                {"kind": instrument.kind,
-                 "help": helps.get(instrument.name, ""), "series": []})
-            value = (instrument.sketch(max_points=max_points)
-                     if isinstance(instrument, Histogram)
-                     else instrument.value)
-            entry["series"].append({"labels": dict(instrument.labels),
-                                    "value": value})
-        return state
 
     def render_prometheus(self):
         """Prometheus text exposition format (version 0.0.4)."""

@@ -1,7 +1,7 @@
-"""Online prediction-quality monitoring: shadow-STA audits and drift.
+"""Online service health: shadow-STA audits, drift and the two SLOs.
 
-Latency and throughput observability (metrics/tracing/fleet) say whether
-the service is *fast*; nothing so far said whether it is still *right*.
+Latency and throughput observability (metrics/tracing) say whether the
+service is *fast*; nothing so far said whether it is still *right*.
 This module closes that gap with three pieces:
 
 * **Shadow-STA auditing** — :class:`QualityMonitor` samples a
@@ -24,6 +24,10 @@ This module closes that gap with three pieces:
   distribution online and scores the divergence with a PSI (population
   stability index) per channel.  Scores above ``REPRO_DRIFT_THRESHOLD``
   raise alert counters and structured-log events.
+
+Both service-level objectives behind ``/healthz`` live here too, on one
+rolling good/bad window: :class:`SloTracker` scores request latency and
+:class:`AccuracySlo` scores audited slack error.
 
 The audit log (``audits.jsonl`` under ``REPRO_RUNS_DIR``) follows the
 run-ledger discipline: one atomic ``O_APPEND`` write per record,
@@ -48,7 +52,7 @@ from .logging import get_logger
 from .runs import default_runs_dir, new_run_id
 
 __all__ = ["FeatureProfile", "DriftTracker", "AuditLog", "QualityMonitor",
-           "AccuracySlo", "audit_rate", "drift_threshold",
+           "SloTracker", "AccuracySlo", "audit_rate", "drift_threshold",
            "default_audit_log_path"]
 
 _log = get_logger("repro.obs.quality")
@@ -285,12 +289,68 @@ class AuditLog:
         return prefixed[-1] if prefixed else None
 
 
-# -- accuracy SLO ----------------------------------------------------------------
-class AccuracySlo:
+# -- service-level objectives ----------------------------------------------------
+class _RollingWindow:
+    """Good/bad outcomes of the last ``window`` events, thread-safe.
+
+    The shared core of both SLOs: the ratio is a recent-health signal
+    rather than a lifetime average, and an empty window reads healthy.
+    """
+
+    def __init__(self, window):
+        self.window = max(int(window), 1)
+        self._lock = threading.Lock()
+        self._events = deque(maxlen=self.window)
+
+    def _record(self, good):
+        good = bool(good)
+        with self._lock:
+            self._events.append(good)
+        return good
+
+    def _counts(self):
+        """``(total, good)`` over the window."""
+        with self._lock:
+            return len(self._events), sum(self._events)
+
+    def summary(self):
+        total, good = self._counts()
+        return {"window": self.window, "total": total, "good": good,
+                "bad": total - good,
+                "good_ratio": round(good / total, 4) if total else 1.0}
+
+
+class SloTracker(_RollingWindow):
+    """Rolling good/bad request ratio against a latency objective.
+
+    A request is *good* when it succeeded within ``objective_ms``
+    end-to-end; internal faults, delta 504s and over-objective responses
+    are bad.  Defaults come from ``REPRO_SLO_LATENCY_MS`` (500) and
+    ``REPRO_SLO_WINDOW`` (512).
+    """
+
+    def __init__(self, objective_ms=None, window=None):
+        if objective_ms is None:
+            objective_ms = float(os.environ.get("REPRO_SLO_LATENCY_MS",
+                                                500.0) or 500.0)
+        if window is None:
+            window = int(os.environ.get("REPRO_SLO_WINDOW", 512) or 512)
+        super().__init__(window)
+        self.objective_ms = float(objective_ms)
+
+    def record(self, latency_ms, ok=True):
+        return self._record(ok and latency_ms is not None
+                            and float(latency_ms) <= self.objective_ms)
+
+    def summary(self):
+        return {"objective_ms": self.objective_ms, **super().summary()}
+
+
+class AccuracySlo(_RollingWindow):
     """Rolling good/bad window against a slack-MAE objective (in ps).
 
-    The accuracy sibling of the latency :class:`~.fleet.SloTracker`: an
-    audit is *good* when its worst-slack MAE stays within
+    The accuracy sibling of the latency :class:`SloTracker`: an audit
+    is *good* when its worst-slack MAE stays within
     ``REPRO_SLO_SLACK_MAE_PS`` (default 50 ps) over the last
     ``REPRO_SLO_ACCURACY_WINDOW`` audits (default 256).  ``ok()`` trips
     once the good ratio falls below ``REPRO_SLO_ACCURACY_RATIO``
@@ -305,21 +365,18 @@ class AccuracySlo:
                                         256) or 256)
         if min_ratio is None:
             min_ratio = _env_float("REPRO_SLO_ACCURACY_RATIO", 0.9)
+        super().__init__(window)
         self.objective_ps = float(objective_ps)
-        self.window = max(int(window), 1)
         self.min_ratio = float(min_ratio)
-        self._lock = threading.Lock()
-        self._events = deque(maxlen=self.window)
         self._errors = deque(maxlen=self.window)
 
     def record(self, slack_mae_ps):
         value = float(slack_mae_ps)
-        good = np.isfinite(value) and value <= self.objective_ps
-        with self._lock:
-            self._events.append(bool(good))
-            if np.isfinite(value):
+        finite = bool(np.isfinite(value))
+        if finite:
+            with self._lock:
                 self._errors.append(value)
-        return good
+        return self._record(finite and value <= self.objective_ps)
 
     def rolling_mae(self):
         with self._lock:
@@ -328,18 +385,11 @@ class AccuracySlo:
             return float(np.mean(self._errors))
 
     def ok(self):
-        with self._lock:
-            total = len(self._events)
-            good = sum(self._events)
+        total, good = self._counts()
         return total == 0 or good / total >= self.min_ratio
 
     def summary(self):
-        with self._lock:
-            total = len(self._events)
-            good = sum(self._events)
-        return {"objective_ps": self.objective_ps, "window": self.window,
-                "total": total, "good": good, "bad": total - good,
-                "good_ratio": round(good / total, 4) if total else 1.0,
+        return {"objective_ps": self.objective_ps, **super().summary(),
                 "min_ratio": self.min_ratio}
 
 
@@ -347,24 +397,20 @@ class AccuracySlo:
 class QualityMonitor:
     """Budget-limited async shadow-STA auditor for one serving process.
 
-    ``prefix`` names the metric families: the in-process service uses
-    ``repro_quality_*``; pool workers use ``repro_worker_quality_*`` so
-    their snapshots merge through the fleet aggregator without colliding
-    with the parent's families.  ``maybe_audit`` is the only request-path
-    entry point and does O(copy) work; everything else runs on a daemon
-    thread that is started lazily on the first sampled request (so a
-    pre-fork parent never forks with the thread alive).
+    Its metric families are ``repro_quality_*``.  ``maybe_audit`` is the
+    only request-path entry point and does O(copy) work; everything else
+    runs on a daemon thread that is started lazily on the first sampled
+    request, so a service that never samples never starts it.
     """
 
     QUEUE_REASONS = ("queue_full", "budget", "error")
 
-    def __init__(self, registry=None, prefix="repro_quality_", rate=None,
+    def __init__(self, registry=None, rate=None,
                  budget_per_min=None, log_path=None, max_lines=None,
                  threshold=None, slo=None, queue_size=64, seed=None):
         from .metrics import MetricsRegistry
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self.prefix = prefix
         self.rate = audit_rate() if rate is None else min(max(
             float(rate), 0.0), 1.0)
         if budget_per_min is None:
@@ -390,29 +436,28 @@ class QualityMonitor:
             self._make_instruments()
 
     def _make_instruments(self):
-        p = self.prefix
         self._c_audits = self.registry.counter(
-            f"{p}audits_total", "Shadow-STA audits completed.")
+            "repro_quality_audits_total", "Shadow-STA audits completed.")
         self._c_drops = {
             reason: self.registry.counter(
-                f"{p}audit_drops_total",
+                "repro_quality_audit_drops_total",
                 "Sampled requests dropped before auditing, by reason.",
                 reason=reason)
             for reason in self.QUEUE_REASONS}
         self._c_alerts = self.registry.counter(
-            f"{p}drift_alerts_total",
+            "repro_quality_drift_alerts_total",
             "Audits whose PSI drift score exceeded the threshold.")
         self._h_mae = self.registry.histogram(
-            f"{p}slack_mae_ps",
+            "repro_quality_slack_mae_ps",
             "Per-audit worst-slack MAE (served vs ground truth), ps.")
         self._h_wns = self.registry.histogram(
-            f"{p}wns_setup_err_ps",
+            "repro_quality_wns_setup_err_ps",
             "Per-audit absolute setup-WNS error, ps.")
         self._h_rank = self.registry.histogram(
-            f"{p}rank_setup",
+            "repro_quality_rank_setup",
             "Per-audit endpoint setup-slack Spearman rank correlation.")
         self._g_drift = self.registry.gauge(
-            f"{p}drift_score",
+            "repro_quality_drift_score",
             "Max-channel PSI of served features vs the train profile.")
 
     # -- request-path entry point ------------------------------------------------

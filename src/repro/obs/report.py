@@ -1,8 +1,8 @@
-"""Static HTML report over the run ledger (stdlib only, inline SVG).
+"""Reports: the static HTML run report and the ``repro top`` frame.
 
 ``repro report --html`` renders the whole recorded trajectory into one
-self-contained page — no javascript, no external assets, open it from
-the filesystem:
+self-contained page (stdlib only, inline SVG) — no javascript, no
+external assets, open it from the filesystem:
 
 * training loss curves (per-epoch series of the recent train runs);
 * per-design R² table from the latest evaluated training runs;
@@ -12,6 +12,9 @@ the filesystem:
   plus the shadow-audit slack-error trend (repro.obs.quality);
 * the paper's Figure-4 view: predicted-vs-true endpoint slack scatter
   from the latest timing-GNN run that sampled one.
+
+:func:`render_top` draws one ``repro top`` terminal dashboard frame
+from a live server's ``/stats`` + ``/healthz`` pair.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import html
 
 from .runs import default_ledger
 
-__all__ = ["render_html_report", "write_html_report"]
+__all__ = ["render_html_report", "write_html_report", "render_top"]
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', sans-serif; margin: 2em;
@@ -360,3 +363,74 @@ def write_html_report(path, ledger=None, title="repro run report"):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(page)
     return path
+
+
+# -- `repro top` rendering -------------------------------------------------------
+def _rate(current, previous, dt):
+    if previous is None or not dt or dt <= 0:
+        return 0.0
+    return max(current - previous, 0) / dt
+
+
+def render_top(stats, healthz=None, prev=None, dt=None, url=""):
+    """One ``repro top`` dashboard frame as a plain string.
+
+    ``stats``/``healthz`` are the JSON bodies of a live server;
+    ``prev`` is the previous ``/stats`` sample and ``dt`` the seconds
+    between them, used for the QPS delta.  Pure function: the CLI owns
+    the ANSI clear/redraw loop, tests just assert on the text.
+    """
+    healthz = healthz or {}
+    prev = prev or {}
+    counts = stats.get("counts", {})
+    latency = stats.get("latency", {})
+    slo = healthz.get("slo") or {}
+
+    qps = _rate(counts.get("requests", 0),
+                prev.get("counts", {}).get("requests"), dt)
+    lines = [
+        f"repro top — {url or 'server'}   "
+        f"uptime {stats.get('uptime_s', 0):.0f}s   "
+        f"status {healthz.get('status', '?')}",
+        f"requests {int(counts.get('requests', 0))}"
+        f"  qps {qps:.1f}"
+        f"  errors {int(counts.get('errors', 0))}"
+        f"  degraded {int(counts.get('degraded', 0))}",
+        f"latency p50 {latency.get('p50_ms', 0.0):.1f} ms"
+        f"  p99 {latency.get('p99_ms', 0.0):.1f} ms"
+        f"  mean {latency.get('mean_ms', 0.0):.1f} ms",
+    ]
+    if slo:
+        lines.append(
+            f"SLO {slo.get('good_ratio', 1.0) * 100:.1f}% good "
+            f"(objective {slo.get('objective_ms', 0):.0f} ms, "
+            f"last {slo.get('total', 0)} of window {slo.get('window', 0)})")
+    quality = stats.get("quality") or {}
+    if quality.get("enabled"):
+        mae = quality.get("slack_mae_ps")
+        drift = quality.get("drift_score")
+        acc = (quality.get("slo") or {})
+        parts = [f"quality: audits {quality.get('samples', 0)}",
+                 "slack MAE " + (f"{mae:.1f} ps" if mae is not None
+                                 else "—"),
+                 "drift " + (f"{drift:.3f}" if drift is not None else "—"),
+                 f"acc-SLO {acc.get('good_ratio', 1.0) * 100:.1f}%"]
+        hq = healthz.get("quality") or {}
+        if hq.get("breached"):
+            parts.append("BREACHED:" + ",".join(hq["breached"]))
+        lines.append("  ".join(parts))
+    for name, b in (stats.get("batching") or {}).items():
+        lines.append(f"batcher[{name}]  {b.get('batches', 0)} batches"
+                     f"  mean {b.get('mean_batch', 0.0):.2f}"
+                     f"  max {b.get('max_batch', 0)}"
+                     f"  depth {b.get('queue_depth', 0)}")
+    caches = []
+    for label in ("result_cache", "graph_cache"):
+        cache = stats.get(label) or {}
+        if cache:
+            caches.append(f"{label.split('_')[0]} "
+                          f"{cache.get('hits', 0)}/{cache.get('misses', 0)}"
+                          f" h/m")
+    if caches:
+        lines.append("caches: " + "   ".join(caches))
+    return "\n".join(lines)

@@ -33,31 +33,12 @@ from contextlib import contextmanager
 from collections import deque
 
 __all__ = ["Span", "Tracer", "get_tracer", "format_span_tree",
-           "mint_trace_id", "make_span_record", "iter_trace_records"]
+           "mint_trace_id", "iter_trace_records"]
 
 
 def mint_trace_id():
     """A fresh 16-hex-char trace id (front-ends mint one per request)."""
     return uuid.uuid4().hex[:16]
-
-
-def make_span_record(name, trace_id, parent_id, start_ts, duration_ms,
-                     status="ok", **attrs):
-    """A finished span record built by hand (no context manager).
-
-    Pool workers use this to synthesize their per-request span trees —
-    queue wait, batch window, shm attach, forward — whose phases overlap
-    between items of one batch and therefore cannot be expressed as
-    nested ``with`` blocks.  The resulting dict is shape-compatible with
-    :meth:`Span.to_dict` so :func:`Tracer.ingest` and
-    :func:`format_span_tree` accept it unchanged.
-    """
-    return {"name": name, "trace_id": trace_id,
-            "span_id": uuid.uuid4().hex[:16], "parent_id": parent_id,
-            "start_ts": round(float(start_ts), 6),
-            "duration_ms": round(max(float(duration_ms), 0.0), 4),
-            "thread": threading.current_thread().name,
-            "status": status, "attrs": dict(attrs)}
 
 
 def iter_trace_records(path, trace_id=None):
@@ -181,9 +162,8 @@ class Tracer:
 
         Without the overrides a span joins the innermost open span on
         this thread (or mints a fresh trace).  With them, a transport
-        can continue a *distributed* trace: the HTTP front-end mints the
-        trace id, and worker-side records ship back carrying the same id
-        (see :meth:`ingest`).
+        can root the trace under an id it chose: the HTTP front-end
+        mints (or adopts) one per request and returns it to the caller.
         """
         if not self.enabled:
             yield _NULL_SPAN
@@ -207,26 +187,7 @@ class Tracer:
             self._finish(span)
 
     def _finish(self, span):
-        self._write(span.to_dict())
-
-    def ingest(self, records):
-        """Adopt finished span records from another process.
-
-        The pool router feeds worker span trees (shipped back on the
-        result path) through here, so retention and the JSONL sink hold
-        one stitched timeline per request — ``repro trace`` renders the
-        worker's queue-wait/attach/forward phases indented under the
-        parent's ``pool.submit`` span.  Returns the number adopted.
-        """
-        count = 0
-        for record in records or ():
-            if not isinstance(record, dict) or "span_id" not in record:
-                continue
-            self._write(dict(record))
-            count += 1
-        return count
-
-    def _write(self, record):
+        record = span.to_dict()
         with self._lock:
             self._retained.append(record)
             if self._sink is not None:

@@ -8,11 +8,7 @@ Two orthogonal pieces that together make dataset construction scale
   worker crash, serial fallback when pools are unavailable;
 * :class:`ArtifactStore` — content-hash-keyed pickle cache with version
   stamps and integrity digests, so repeated experiment and test runs
-  skip recomputation entirely;
-* :class:`ShmArena` / :func:`attach` — publish dicts of numpy arrays
-  into ``multiprocessing.shared_memory`` segments once, reconstruct
-  zero-copy read-only views in any other process (the substrate of the
-  pre-fork serving pool, ``repro.serving.pool``).
+  skip recomputation entirely.
 
 Determinism is the contract: a parallel build is bit-identical to a
 serial one (``tests/test_parallel.py`` enforces it differentially).
@@ -20,12 +16,10 @@ serial one (``tests/test_parallel.py`` enforces it differentially).
 
 from .executor import (ParallelExecutor, WorkerCrashError, default_workers,
                        pick_start_method)
-from .shm import Attachment, SHM_FORMAT_VERSION, ShmArena, attach
 from .store import ArtifactStore, STORE_VERSION, content_key
 
 __all__ = [
     "ParallelExecutor", "WorkerCrashError", "default_workers",
     "pick_start_method",
-    "Attachment", "SHM_FORMAT_VERSION", "ShmArena", "attach",
     "ArtifactStore", "STORE_VERSION", "content_key",
 ]

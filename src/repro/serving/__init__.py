@@ -12,12 +12,10 @@ The reproduction's first traffic-facing subsystem (see DESIGN.md §3):
 * :mod:`.http`      — stdlib JSON/HTTP front-end (``/predict``,
   ``/models``, ``/healthz``, ``/stats``, Prometheus ``/metrics``);
 * :mod:`.loadgen`   — concurrent load-generator benchmark harness
-  (results tracked across PRs in ``BENCH_serving.json``);
-* :mod:`.pool`      — pre-fork multi-process serving tier: N predictor
-  workers attached zero-copy to shared-memory model weights and graph
-  arrays, with admission control, crash supervision, and per-worker
-  micro-batching.
+  (results tracked across PRs in ``BENCH_serving.json``).
 
+Serving runs in one process: one :class:`PredictionService` answers
+every request, and its micro-batcher coalesces concurrent ones.
 All serving telemetry lives in one :class:`repro.obs.MetricsRegistry`
 per service — ``/stats`` and ``/metrics`` are two views of it.
 """
@@ -28,12 +26,10 @@ from .delta import DeltaClient, DeltaRequest, DeltaSession
 from .http import ServingServer, make_server
 from .loadgen import (LoadgenResult, format_loadgen_report, run_loadgen,
                       write_bench_json)
-from .pool import (NotPoolable, PoolCrashError, PoolError,
-                   PooledPredictionService, PoolRouter, PoolWorker)
 from .registry import (DEFAULT_MODELS, ModelEntry, ModelLoadError,
                        ModelRegistry)
-from .service import (DeadlineExceeded, Overloaded, PredictionService,
-                      PredictRequest, PredictResponse, RequestError)
+from .service import (DeadlineExceeded, PredictionService, PredictRequest,
+                      PredictResponse, RequestError)
 
 __all__ = [
     "BatchTimeout", "MicroBatcher",
@@ -42,9 +38,7 @@ __all__ = [
     "ServingServer", "make_server",
     "LoadgenResult", "format_loadgen_report", "run_loadgen",
     "write_bench_json",
-    "NotPoolable", "PoolCrashError", "PoolError",
-    "PooledPredictionService", "PoolRouter", "PoolWorker",
     "DEFAULT_MODELS", "ModelEntry", "ModelLoadError", "ModelRegistry",
-    "DeadlineExceeded", "Overloaded", "PredictionService",
+    "DeadlineExceeded", "PredictionService",
     "PredictRequest", "PredictResponse", "RequestError",
 ]

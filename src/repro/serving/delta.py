@@ -31,7 +31,7 @@ from .. import nn
 from ..graphdata.extract import extract_features
 from ..graphdata.patch import GraphPatcher
 from ..models.incremental import IncrementalForwardState
-from .service import RequestError, finite_number
+from .service import RequestError, finite_number, seed_integer
 
 __all__ = ["DeltaRequest", "DeltaSession", "DeltaClient"]
 
@@ -72,10 +72,7 @@ class DeltaRequest:
                 "requests")
         if not isinstance(self.model, str) or not self.model:
             raise RequestError("'model' must be a non-empty string")
-        try:
-            self.seed = int(self.seed)
-        except (TypeError, ValueError, OverflowError):
-            raise RequestError("'seed' must be an integer")
+        self.seed = seed_integer(self.seed)
         if self.scale is not None:
             self.scale = finite_number(self.scale, "scale")
             if self.scale <= 0:

@@ -6,17 +6,16 @@ Endpoints:
 * ``POST /predict/delta`` — a :class:`DeltaRequest`: base design plus
   an ECO edit list; answered incrementally from the live delta session;
 * ``GET /models``   — the registry catalogue (loaded state, versions);
-* ``GET /healthz``  — liveness (per-worker detail + SLO under the pool);
+* ``GET /healthz``  — liveness, the latency SLO and prediction quality;
 * ``GET /stats``    — counts, cache hit rates, p50/p99 latency, batching;
 * ``GET /metrics``  — the same facts in Prometheus text exposition
   format (scrape target), straight from the service's metrics registry.
 
-Every ``/predict`` is the root of a distributed trace: the handler
-mints a ``trace_id`` (or adopts a caller-supplied ``X-Trace-Id``
-header), opens the ``http.predict`` root span under it, and returns the
-id in both the JSON body and the ``X-Trace-Id`` response header — with
-the pool, worker-side span records stitch under the same id so ``repro
-trace`` renders the full queue-wait → attach → forward timeline.
+Every ``/predict`` is the root of a trace: the handler mints a
+``trace_id`` (or adopts a caller-supplied ``X-Trace-Id`` header), opens
+the ``http.predict`` root span under it, and returns the id in both the
+JSON body and the ``X-Trace-Id`` response header, so ``repro trace
+--export`` can pull one request's spans out of a ``REPRO_TRACE`` sink.
 
 Built on ``http.server.ThreadingHTTPServer`` so each connection is
 handled on its own thread — concurrency and batching come from the
@@ -31,7 +30,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs import get_logger, get_tracer, mint_trace_id
-from .service import Overloaded, PredictionService, RequestError
+from .service import PredictionService, RequestError
 
 _log = get_logger("repro.serving.http")
 
@@ -125,21 +124,12 @@ def _make_handler(service, quiet=True):
             trace_id = _request_trace_id(self.headers)
             headers = {"X-Trace-Id": trace_id}
             try:
-                # Root span of the distributed trace: serve.predict,
-                # pool.submit and the worker-side records all nest under
-                # this trace_id.
+                # Root span of the request's trace: serve.predict and
+                # everything below it nest under this trace_id.
                 with get_tracer().span(span_name,
                                        trace_id=trace_id) as sp:
                     sp.set(path=path)
                     response = endpoint(payload)
-            except Overloaded as exc:
-                # Load shed; tell clients to back off (loadgen's pacing
-                # keys off the flag).
-                self._send_json(exc.status, {"error": str(exc),
-                                             "shed": True,
-                                             "trace_id": trace_id},
-                                headers=headers)
-                return
             except RequestError as exc:
                 self._send_json(exc.status, {"error": str(exc),
                                              "trace_id": trace_id},
@@ -166,8 +156,8 @@ def make_server(service, host="127.0.0.1", port=8080, quiet=True):
     """
     # The stdlib default accept backlog (request_queue_size=5) drops
     # connections with ECONNRESET when hundreds of loadgen clients
-    # burst-connect; listen deeper so admission control — not the
-    # kernel's SYN queue — decides who gets shed.
+    # burst-connect; listen deeper so every connection gets accepted
+    # and waits its turn on its own handler thread.
     server_cls = type("_Server", (ThreadingHTTPServer,),
                       {"request_queue_size": 256})
     server = server_cls((host, port), _make_handler(service, quiet=quiet))

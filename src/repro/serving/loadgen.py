@@ -38,8 +38,6 @@ class ClientRecord:
     incorrect: int = 0
     degraded: int = 0
     cache_hits: int = 0
-    shed: int = 0
-    retries: int = 0
     latencies_ms: list = field(default_factory=list)
 
 
@@ -59,10 +57,6 @@ class LoadgenResult:
     latency_p99_ms: float
     latency_mean_ms: float
     server_stats: dict
-    # pool-era fields, defaulted so single-process results stay valid
-    shed: int = 0
-    retries: int = 0
-    workers: int = 0
     batch_max: int = 0
 
     def to_dict(self):
@@ -84,8 +78,8 @@ def _http_json(url, payload=None, timeout=60.0):
         with urllib.request.urlopen(req, timeout=timeout) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        # Non-2xx with a JSON body (shed 503s, request errors) is a
-        # response, not a transport failure.
+        # Non-2xx with a JSON body (a request error) is a response,
+        # not a transport failure.
         try:
             return exc.code, json.loads(exc.read())
         except (json.JSONDecodeError, UnicodeDecodeError, OSError):
@@ -93,8 +87,7 @@ def _http_json(url, payload=None, timeout=60.0):
 
 
 def _client_loop(url, designs, model, num_requests, deadline_ms, record,
-                 start_barrier, timeout, no_cache=False, max_retries=8,
-                 backoff_s=0.005):
+                 start_barrier, timeout, no_cache=False):
     start_barrier.wait()
     for i in range(num_requests):
         design = designs[i % len(designs)]
@@ -105,50 +98,33 @@ def _client_loop(url, designs, model, num_requests, deadline_ms, record,
             payload["no_cache"] = True
         t0 = time.perf_counter()
         record.sent += 1
-        attempt = 0
-        while True:
-            try:
-                status, body = _http_json(url + "/predict", payload,
-                                          timeout=timeout)
-            except (urllib.error.URLError, OSError, ValueError):
-                record.errors += 1
-                break
-            if status == 503 and isinstance(body, dict) \
-                    and body.get("shed"):
-                # Backpressure-aware pacing: the server shed us past its
-                # admission watermark; back off exponentially and retry
-                # instead of hammering the queue.
-                record.shed += 1
-                if attempt >= max_retries:
-                    record.errors += 1
-                    break
-                time.sleep(min(backoff_s * (2 ** attempt), 0.25))
-                attempt += 1
-                record.retries += 1
-                continue
-            record.latencies_ms.append(
-                (time.perf_counter() - t0) * 1000.0)
-            if status != 200:
-                record.errors += 1
-                break
-            # Correctness: the answer must be for the design we asked
-            # about and carry a structurally valid prediction payload.
-            prediction = body.get("prediction")
-            if (body.get("design") != design
-                    or not isinstance(prediction, dict) or not prediction):
-                record.incorrect += 1
-                break
-            record.ok += 1
-            if body.get("degraded"):
-                record.degraded += 1
-            if body.get("cache_hit"):
-                record.cache_hits += 1
-            break
+        try:
+            status, body = _http_json(url + "/predict", payload,
+                                      timeout=timeout)
+        except (urllib.error.URLError, OSError, ValueError):
+            record.errors += 1
+            continue
+        record.latencies_ms.append((time.perf_counter() - t0) * 1000.0)
+        if status != 200:
+            record.errors += 1
+            continue
+        # Correctness: the answer must be for the design we asked about
+        # and carry a structurally valid prediction payload.
+        prediction = body.get("prediction")
+        if (body.get("design") != design
+                or not isinstance(prediction, dict) or not prediction):
+            record.incorrect += 1
+            continue
+        record.ok += 1
+        if body.get("degraded"):
+            record.degraded += 1
+        if body.get("cache_hit"):
+            record.cache_hits += 1
 
 
 def run_loadgen(url, designs, clients=8, requests_per_client=8,
                 model="timing-full", deadline_ms=None, timeout=120.0,
-                warmup_requests=None, no_cache=False, max_retries=8):
+                warmup_requests=None, no_cache=False):
     """Drive ``url`` with ``clients`` concurrent request streams.
 
     Before the timed phase, ``warmup_requests`` untimed ``/predict``
@@ -158,10 +134,9 @@ def run_loadgen(url, designs, clients=8, requests_per_client=8,
     disable.  ``clients`` scales to hundreds of threads (each client is
     one blocking request stream); ``no_cache`` bypasses the server's
     result cache so every request exercises a real model forward — the
-    knob that makes micro-batching visible under concurrency.  Shed
-    (503) responses are retried up to ``max_retries`` times with
-    exponential backoff.  Returns a :class:`LoadgenResult`; raises if
-    the server is not reachable at all (``/healthz`` probe).
+    knob that makes micro-batching visible under concurrency.  Returns
+    a :class:`LoadgenResult`; raises if the server is not reachable at
+    all (``/healthz`` probe).
     """
     url = url.rstrip("/")
     status, _ = _http_json(url + "/healthz", timeout=timeout)
@@ -185,7 +160,7 @@ def run_loadgen(url, designs, clients=8, requests_per_client=8,
             target=_client_loop,
             args=(url, list(designs), model, requests_per_client,
                   deadline_ms, records[i], start_barrier, timeout,
-                  no_cache, max_retries),
+                  no_cache),
             name=f"loadgen-{i}", daemon=True)
         for i in range(clients)]
     for t in threads:
@@ -207,8 +182,6 @@ def run_loadgen(url, designs, clients=8, requests_per_client=8,
         incorrect=sum(r.incorrect for r in records),
         degraded=sum(r.degraded for r in records),
         cache_hits=sum(r.cache_hits for r in records),
-        shed=sum(r.shed for r in records),
-        retries=sum(r.retries for r in records),
         warmup_requests=warmup_requests,
         duration_s=duration,
         throughput_rps=(ok / duration) if duration > 0 else 0.0,
@@ -217,7 +190,6 @@ def run_loadgen(url, designs, clients=8, requests_per_client=8,
         latency_p99_ms=float(np.percentile(latencies, 99))
         if len(latencies) else 0.0,
         latency_mean_ms=float(latencies.mean()) if len(latencies) else 0.0,
-        workers=int(server_stats.get("workers", 0)),
         batch_max=int(server_stats.get("batch_max", 0)),
         server_stats=server_stats)
 
@@ -229,8 +201,8 @@ def write_bench_json(result, path="BENCH_serving.json", params=None,
     Written by ``repro bench-serve`` at the repo root so the serving
     throughput/latency trajectory is tracked across PRs; ``scripts/
     ci.sh`` asserts the file is produced and well-formed.  ``extra``
-    merges additional top-level fields (pooled runs record ``workers``,
-    the ``single_process`` reference numbers and ``pool_speedup``).
+    merges additional top-level fields (``repro bench-serve`` records
+    the ``audit`` digest and the ``delta`` timing there).
     """
     from ..bench.diff import bench_fingerprint
     from ..obs.runs import new_run_id, record_run
@@ -267,7 +239,6 @@ def format_loadgen_report(result):
         f" incorrect {result.incorrect})",
         f"  degraded           {result.degraded}",
         f"  client cache hits  {result.cache_hits}",
-        f"  shed / retries     {result.shed} / {result.retries}",
         f"  warmup requests    {result.warmup_requests} (untimed)",
         f"  duration           {result.duration_s:.2f} s",
         f"  throughput         {result.throughput_rps:.1f} req/s",
@@ -279,8 +250,7 @@ def format_loadgen_report(result):
     graph_cache = stats.get("graph_cache", {})
     lines += [
         "server-side",
-        f"  workers            {result.workers}"
-        f"  (batch max {result.batch_max})",
+        f"  batch max          {result.batch_max}",
         f"  result cache       {result_cache.get('hits', 0)} hits /"
         f" {result_cache.get('misses', 0)} misses"
         f" (hit rate {result_cache.get('hit_rate', 0.0):.2f})",
@@ -291,24 +261,4 @@ def format_loadgen_report(result):
         lines.append(
             f"  batcher[{name}]    {b['batches']} batches,"
             f" mean {b['mean_batch']:.2f}, max {b['max_batch']}")
-    pool = stats.get("pool")
-    if pool:
-        lines.append(
-            f"  pool               shm {pool['shm_bytes'] / 1e6:.1f} MB in"
-            f" {pool['shm_segments']} segments,"
-            f" restarts {pool['restarts']}, shed {pool['shed']}")
-        for w in pool.get("per_worker", []):
-            lines.append(
-                f"  worker[{w['worker']}]          {w['completed']} done,"
-                f" {w['batches']} batches, mean {w['mean_batch']:.2f},"
-                f" max {w['batch_max']}, restarts {w['restarts']},"
-                f" p50 {w.get('latency_p50_ms', 0.0):.1f} ms,"
-                f" p99 {w.get('latency_p99_ms', 0.0):.1f} ms")
-        fleet = pool.get("fleet") or {}
-        if fleet.get("worker_requests_total"):
-            latency = fleet.get("latency_ms", {})
-            lines.append(
-                f"  fleet              {fleet['worker_requests_total']} "
-                f"worker requests, p50 {latency.get('p50', 0.0):.1f} ms, "
-                f"p99 {latency.get('p99', 0.0):.1f} ms")
     return "\n".join(lines)

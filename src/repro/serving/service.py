@@ -46,7 +46,7 @@ from .cache import LRUCache
 from .registry import ModelLoadError, ModelRegistry
 
 __all__ = ["PredictRequest", "PredictResponse", "RequestError",
-           "Overloaded", "DeadlineExceeded", "PredictionService"]
+           "DeadlineExceeded", "PredictionService"]
 
 
 class RequestError(ValueError):
@@ -55,18 +55,6 @@ class RequestError(ValueError):
     def __init__(self, message, status=400):
         super().__init__(message)
         self.status = status
-
-
-class Overloaded(RequestError):
-    """Admission control shed this request (maps to HTTP 503).
-
-    Raised by the pooled serving tier when a worker shard's pending
-    queue is past its watermark; clients should back off and retry
-    (the load generator's pacing does exactly that).
-    """
-
-    def __init__(self, message="server overloaded; retry later"):
-        super().__init__(message, status=503)
 
 
 class DeadlineExceeded(RequestError):
@@ -93,6 +81,23 @@ def finite_number(value, name):
     if not math.isfinite(value):
         raise RequestError(f"'{name}' must be finite")
     return value
+
+
+def seed_integer(value):
+    """``value`` as a non-negative integer seed; anything else is a 400.
+
+    Plain ``int()`` would serve ``2.7`` as seed 2, and a negative seed
+    only fails later, inside ``np.random.default_rng`` (a 500).
+    """
+    if isinstance(value, float) and not value.is_integer():
+        raise RequestError("'seed' must be an integer")
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise RequestError("'seed' must be an integer")
+    if seed < 0:
+        raise RequestError("'seed' must be >= 0")
+    return seed
 
 
 @dataclass
@@ -140,10 +145,7 @@ class PredictRequest:
             raise RequestError("'verilog' must be a string")
         if not isinstance(self.model, str) or not self.model:
             raise RequestError("'model' must be a non-empty string")
-        try:
-            self.seed = int(self.seed)
-        except (TypeError, ValueError, OverflowError):
-            raise RequestError("'seed' must be an integer")
+        self.seed = seed_integer(self.seed)
         if self.scale is not None:
             self.scale = finite_number(self.scale, "scale")
             if self.scale <= 0:
@@ -269,9 +271,6 @@ class PredictionService:
             "model_fallbacks": self.metrics.counter(
                 "repro_model_fallbacks_total",
                 "Degradations caused by a model that failed to load."),
-            "shed": self.metrics.counter(
-                "repro_requests_shed_total",
-                "Requests shed by admission control (503 Overloaded)."),
             "delta_requests": self.metrics.counter(
                 "repro_delta_requests_total",
                 "Incremental (/predict/delta) requests received."),
@@ -284,8 +283,9 @@ class PredictionService:
             "Dirty-frontier size (nodes re-predicted) per delta refresh.",
             quantiles=(0.5, 0.9, 0.99))
         # Rolling latency SLO: good = answered within the objective
-        # (REPRO_SLO_LATENCY_MS); sheds and unexpected faults are bad,
-        # client errors (4xx) are excluded.  Surfaced by /healthz.
+        # (REPRO_SLO_LATENCY_MS); delta 504s and unexpected faults are
+        # bad, other client errors (4xx) are excluded.  Surfaced by
+        # /healthz.
         self.slo = SloTracker()
         # Shadow-STA auditor (REPRO_AUDIT_RATE > 0 enables): samples
         # served predictions off the request path and scores them
@@ -389,14 +389,12 @@ class PredictionService:
                          model=request.model,
                          design=request.design or "<verilog>")
                 response = self._predict(request.validate())
-            except Overloaded as exc:
-                self._bump("shed")
-                self.slo.record(None, ok=False)
-                span.set(error=str(exc), shed=True)
-                raise
             except RequestError as exc:
                 self._bump("errors")
                 span.set(error=str(exc))
+                raise
+            except Exception:
+                self.slo.record(None, ok=False)    # an internal fault
                 raise
             response.latency_ms = ((time.perf_counter()
                                     - request.created_at) * 1000.0)
@@ -473,10 +471,7 @@ class PredictionService:
     def _execute(self, entry, key, graph, request):
         """Run the model for one request; returns ``(payload, batch_size)``.
 
-        The in-process implementation goes through the per-model
-        :class:`MicroBatcher`; the pooled subclass
-        (:class:`repro.serving.pool.PooledPredictionService`) overrides
-        this to dispatch to a worker process instead.  Raises
+        Goes through the per-model :class:`MicroBatcher`.  Raises
         :class:`BatchTimeout` when the request's deadline expires first.
         """
         batcher = self._batcher_for(entry)
@@ -529,11 +524,6 @@ class PredictionService:
                          edits=len(request.edits)
                          if isinstance(request.edits, list) else 0)
                 response = self._predict_delta(request.validate(), span)
-            except Overloaded as exc:
-                self._bump("shed")
-                self.slo.record(None, ok=False)
-                span.set(error=str(exc), shed=True)
-                raise
             except DeadlineExceeded as exc:
                 self._bump("deadline_fallbacks")
                 self.slo.record(None, ok=False)
@@ -542,6 +532,9 @@ class PredictionService:
             except RequestError as exc:
                 self._bump("errors")
                 span.set(error=str(exc))
+                raise
+            except Exception:
+                self.slo.record(None, ok=False)    # an internal fault
                 raise
             response.latency_ms = ((time.perf_counter()
                                     - request.created_at) * 1000.0)
@@ -557,9 +550,9 @@ class PredictionService:
     def _predict_delta(self, request, span):
         from ..graphdata.patch import EditError, parse_edits
         # Resolve (and warm) the base graph exactly as /predict would;
-        # this validates the design name and pins the shard key the
-        # pooled tier routes by.  The cached base graph itself is never
-        # mutated — the session owns a private rebuild.
+        # this validates the design name and pins the session key.  The
+        # cached base graph itself is never mutated — the session owns a
+        # private rebuild.
         base, key, _hit = self.resolve_graph(request.base_request())
         try:
             edits = parse_edits(request.edits)
@@ -669,11 +662,7 @@ class PredictionService:
                                            request.include_slack))
 
     def _execute_delta(self, entry, key, session, request):
-        """Cone-limited forward for one delta request (session locked).
-
-        The pooled subclass overrides this to ship the edit stream to
-        the worker owning the base graph's shard instead.
-        """
+        """Cone-limited forward for one delta request (session locked)."""
         with self._tracer.span("serve.delta_forward") as span:
             if entry.kind == "timing":
                 state, stats = session.refresh(entry)
@@ -726,7 +715,6 @@ class PredictionService:
             "graph_cache": self.graph_cache.stats(),
             "result_cache": self.result_cache.stats(),
             "batching": batchers,
-            "workers": 0,
             "batch_max": max((b["max_batch"] for b in batchers.values()),
                              default=0),
             "uptime_s": round(time.time() - self._started_at, 1),

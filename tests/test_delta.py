@@ -9,8 +9,8 @@ differential: apply edits incrementally, then rebuild the same design
 from scratch (full re-route + full STA + full extraction + whole-graph
 forward) and require equality — bit-for-bit on graph feature arrays,
 the dtype contract tolerance on model predictions — across edit kinds,
-LUT modes, kernel backends, edit sequences (hypothesis), the in-process
-service, the pre-fork pool, and the HTTP front-end.  Labels are compared
+LUT modes, kernel backends, edit sequences (hypothesis), the service,
+and the HTTP front-end.  Labels are compared
 after the lazy label pass (``materialize()``).  The request path itself
 is pinned label-free (no routing, STA or incremental timer), and its
 degraded answers use only labels of the current version or fail with a
@@ -44,8 +44,7 @@ from repro.netlist import build_benchmark
 from repro.placement import place_design
 from repro.routing import route_design
 from repro.serving import (DeadlineExceeded, DeltaSession, ModelRegistry,
-                           PooledPredictionService, PredictionService,
-                           RequestError, ServingServer)
+                           PredictionService, RequestError, ServingServer)
 from repro.serving.registry import ModelEntry
 from repro.serving.service import _timing_payload
 from repro.sta import build_timing_graph, run_sta
@@ -753,129 +752,6 @@ class TestDeltaDegraded:
             assert calls == []
         finally:
             svc.close()
-
-
-# -- through the pre-fork pool -------------------------------------------------
-class TestPooledDelta:
-    @pytest.mark.parametrize("backend", ["fused", "naive"])
-    def test_pooled_matches_in_process(self, toy_model, backend):
-        pooled = PooledPredictionService(
-            registry=_toy_registry(toy_model), scale=SCALE, workers=2,
-            kernels=backend)
-        reference = PredictionService(registry=_toy_registry(toy_model),
-                                      scale=SCALE)
-        try:
-            bodies = [{"design": DESIGN, "model": "toy", "edits": []}]
-            edit = _move_edit(reference.delta_session(DESIGN).patcher)
-            bodies.append({"design": DESIGN, "model": "toy",
-                           "edits": [edit], "no_cache": True})
-            for body in bodies:
-                ours = pooled.predict_delta(dict(body))
-                theirs = reference.predict_delta(dict(body))
-                assert ours.graph_version == theirs.graph_version
-                assert not ours.degraded
-                for key, value in theirs.prediction.items():
-                    if isinstance(value, float):
-                        assert ours.prediction[key] == \
-                            pytest.approx(value, abs=1e-6), key
-                    else:
-                        assert ours.prediction[key] == value, key
-            completed = sum(w["completed"] for w in
-                            pooled.router.stats()["per_worker"])
-            assert completed >= 1      # the pool actually served deltas
-        finally:
-            pooled.close()
-            reference.close()
-
-
-# -- worker loop MSG_DELTA handling, driven in-process -------------------------
-class TestWorkerDeltaInProcess:
-    """Drive PoolWorker's delta branches in this process over plain
-    queues (the TestPoolWorker idiom): forked worker processes are
-    invisible to the coverage tracer, and the protocol error paths —
-    out-of-sync sessions, unpublished models, expired deadlines — are
-    directly assertable here."""
-
-    def _drain(self, qout):
-        import queue
-        out = []
-        while True:
-            try:
-                out.append(qout.get_nowait())
-            except queue.Empty:
-                return out
-
-    def test_delta_protocol_branches(self, toy_model):
-        import os
-        import queue
-
-        from repro.parallel import ShmArena
-        from repro.serving.pool.worker import (MSG_DELTA, MSG_MODEL,
-                                               MSG_STOP, PoolWorker,
-                                               R_ERR, R_EXPIRED, R_OK)
-        arena = ShmArena(prefix=f"rptest{os.getpid():x}d1")
-        params = {n: p.data for n, p in toy_model.named_parameters()}
-        model_seg = arena.publish("model", params)
-        model_spec = {"kind": "timing", "cls": "TimingGNN",
-                      "config": toy_model.cfg}
-
-        local = DeltaSession(DESIGN, 1, SCALE, key="wk",
-                             clock_period=base_clock())
-        entry = _entry(toy_model)
-        edit1 = parse_edits([_move_edit(local.patcher, idx=3)])
-        edit2 = parse_edits([_move_edit(local.patcher, idx=9,
-                                        frac=(0.6, 0.3))])
-        spec = {"design": DESIGN, "seed": 1, "scale": SCALE,
-                "clock_period": base_clock()}
-        ctx = ("feedfacecafebeef", "1234abcd5678ef00", time.time())
-
-        qin, qout = queue.Queue(), queue.Queue()
-        qin.put((MSG_MODEL, "toy", "v1", model_seg, model_spec))
-        qin.put((MSG_DELTA, 1, "toy", "wk", dict(spec, version=1),
-                 edit1, False, None, ctx))
-        qin.put((MSG_DELTA, 2, "toy", "wk", dict(spec, version=2),
-                 edit2, False, None))
-        qin.put((MSG_DELTA, 3, "toy", "wk", dict(spec, version=99),
-                 [], False, None))
-        qin.put((MSG_DELTA, 4, "ghost", "wk", dict(spec, version=0),
-                 [], False, None))
-        qin.put((MSG_DELTA, 5, "toy", "wk", dict(spec, version=0),
-                 [], False, time.time() - 1.0))
-        qin.put((MSG_STOP,))
-        worker = PoolWorker(0, qin, qout, window_s=0.001, poll_s=0.01)
-        worker.serve()
-        arena.close_all()
-        responses = self._drain(qout)
-
-        oks = {r[1]: r for r in responses if r[0] == R_OK}
-        errs = {r[1]: r for r in responses if r[0] == R_ERR}
-        assert set(oks) == {1, 2} and set(errs) == {3, 4}
-        assert (R_EXPIRED, 5) in responses
-
-        # Payload parity with an in-process session replaying the same
-        # edit stream (both sessions are deterministic rebuilds).
-        local.apply(edit1)
-        state, _ = local.refresh(entry)
-        expected1 = _timing_payload(local.hetero, state.arrival, False)
-        assert oks[1][2] == expected1
-        local.apply(edit2)
-        state, _ = local.refresh(entry)
-        assert oks[2][2] == _timing_payload(local.hetero, state.arrival,
-                                            False)
-
-        # Traced request: root span + forward, plus the session build
-        # (request 1 created the worker-local session).
-        spans = oks[1][4]
-        names = [s["name"] for s in spans]
-        assert names[0] == "worker.predict_delta"
-        assert spans[0]["trace_id"] == "feedfacecafebeef"
-        assert "worker.delta_forward" in names
-        assert "worker.session_build" in names
-        assert oks[2][4] == []          # untraced 8-tuple: no spans
-        assert "out of sync" in errs[3][2]
-        assert "not published" in errs[4][2]
-        # The out-of-sync request dropped the cached session.
-        assert worker._sessions == {}
 
 
 # -- HTTP front-end ------------------------------------------------------------

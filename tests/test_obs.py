@@ -1,6 +1,8 @@
 """Observability semantics: metrics under concurrency, histogram
-quantile accuracy, span nesting/export, structured logging, the
-Prometheus ``/metrics`` endpoint and the loadgen benchmark artefact."""
+quantile accuracy and sketches, span nesting/export and trace-record
+streaming, structured logging, the latency SLO window, the ``repro top``
+frame renderer, the Prometheus ``/metrics`` endpoint and the loadgen
+benchmark artefact."""
 
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 
 from repro.obs import (Counter, Gauge, Histogram, LogManager, Logger,
-                       MetricsRegistry, Tracer, format_span_tree,
-                       get_registry)
+                       MetricsRegistry, SloTracker, Tracer,
+                       format_span_tree, get_registry, iter_trace_records,
+                       mint_trace_id, render_top)
 
 
 # -- counters / gauges under concurrency ---------------------------------------
@@ -91,6 +94,32 @@ class TestHistogram:
         assert np.isnan(hist.quantile(0.5))
         snap = hist.snapshot()
         assert snap["count"] == 0 and snap["p50"] == 0.0
+
+
+class TestSketch:
+    def test_sketch_exact_within_max_points(self):
+        hist = Histogram("lat_ms")
+        values = [5.0, 1.0, 3.0, 2.0, 4.0]
+        for v in values:
+            hist.observe(v)
+        sketch = hist.sketch(max_points=16)
+        assert sketch["count"] == 5
+        assert sketch["sum"] == pytest.approx(15.0)
+        assert sketch["min"] == 1.0 and sketch["max"] == 5.0
+        assert sketch["sample"] == sorted(values)
+
+    def test_sketch_bounded_past_max_points(self):
+        hist = Histogram("lat_ms")
+        values = np.arange(1.0, 1001.0)
+        for v in values:
+            hist.observe(v)
+        sketch = hist.sketch(max_points=64)
+        assert len(sketch["sample"]) == 64
+        assert sketch["count"] == 1000
+        # The grid spans the reservoir and stays sorted.
+        assert sketch["sample"][0] == pytest.approx(1.0)
+        assert sketch["sample"][-1] == pytest.approx(1000.0)
+        assert sketch["sample"] == sorted(sketch["sample"])
 
 
 # -- registry ------------------------------------------------------------------
@@ -367,6 +396,47 @@ class TestTraceRotation:
         assert len(buffer.getvalue().splitlines()) == 4
 
 
+def _span_records(*named):
+    """Finished span records, one per ``(name, trace_id)`` pair."""
+    tracer = Tracer()
+    for name, trace_id in named:
+        with tracer.span(name, trace_id=trace_id):
+            pass
+    return tracer.spans()
+
+
+class TestTraceRecords:
+    def test_iter_reads_rotated_generation_first(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        older, newer = _span_records(("old", "t1"), ("new", "t2"))
+        with open(str(path) + ".1", "w") as fh:
+            fh.write(json.dumps(older) + "\n")
+        with open(path, "w") as fh:
+            fh.write("not json\n\n")
+            fh.write(json.dumps({"no": "span_id"}) + "\n")
+            fh.write(json.dumps(newer) + "\n")
+        records = list(iter_trace_records(path))
+        assert [r["name"] for r in records] == ["old", "new"]
+
+    def test_trace_id_filter(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with open(path, "w") as fh:
+            for record in _span_records(("a", "t1"), ("b", "t2"),
+                                        ("c", "t1")):
+                fh.write(json.dumps(record) + "\n")
+        records = list(iter_trace_records(path, trace_id="t1"))
+        assert [r["name"] for r in records] == ["a", "c"]
+        assert list(iter_trace_records(path, trace_id="zzz")) == []
+
+    def test_missing_file_yields_nothing(self, tmp_path):
+        assert list(iter_trace_records(tmp_path / "absent.jsonl")) == []
+
+    def test_mint_trace_id_shape(self):
+        ids = {mint_trace_id() for _ in range(32)}
+        assert len(ids) == 32
+        assert all(len(t) == 16 and int(t, 16) >= 0 for t in ids)
+
+
 # -- structured logging --------------------------------------------------------
 class TestStructuredLogging:
     def _logger(self, name, **kwargs):
@@ -424,6 +494,75 @@ class TestStructuredLogging:
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 400
         assert all(line.startswith("ts=") for line in lines)
+
+
+# -- latency SLO -----------------------------------------------------------------
+class TestSloTracker:
+    def test_good_bad_classification(self):
+        slo = SloTracker(objective_ms=100.0, window=10)
+        assert slo.record(50.0) is True
+        assert slo.record(150.0) is False        # over objective
+        assert slo.record(None, ok=False) is False   # internal fault
+        summary = slo.summary()
+        assert summary == {"objective_ms": 100.0, "window": 10,
+                           "total": 3, "good": 1, "bad": 2,
+                           "good_ratio": pytest.approx(1 / 3, abs=1e-3)}
+
+    def test_window_is_rolling(self):
+        slo = SloTracker(objective_ms=100.0, window=2)
+        slo.record(500.0)
+        slo.record(10.0)
+        slo.record(10.0)
+        assert slo.summary()["good_ratio"] == 1.0
+
+    def test_env_defaults(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SLO_LATENCY_MS", "250")
+        monkeypatch.setenv("REPRO_SLO_WINDOW", "32")
+        slo = SloTracker()
+        assert slo.objective_ms == 250.0
+        assert slo.window == 32
+
+    def test_empty_window_is_healthy(self):
+        assert SloTracker().summary()["good_ratio"] == 1.0
+
+
+# -- repro top frame renderer ----------------------------------------------------
+class TestRenderTop:
+    def _stats(self, requests=10):
+        return {"counts": {"requests": requests, "errors": 1,
+                           "degraded": 2},
+                "latency": {"p50_ms": 12.5, "p99_ms": 80.0,
+                            "mean_ms": 20.0},
+                "uptime_s": 5.0,
+                "result_cache": {"hits": 5, "misses": 7},
+                "graph_cache": {"hits": 9, "misses": 3},
+                "batching": {"timing-full": {
+                    "batches": 4, "mean_batch": 2.5, "max_batch": 4,
+                    "queue_depth": 0}}}
+
+    def test_rates_from_previous_sample(self):
+        frame = render_top(self._stats(requests=100),
+                           prev=self._stats(requests=50), dt=5.0)
+        assert "qps 10.0" in frame
+        # No previous sample: no rate yet.
+        assert "qps 0.0" in render_top(self._stats(requests=100))
+
+    def test_frame_contents(self):
+        healthz = {"status": "degraded",
+                   "slo": {"objective_ms": 500.0, "window": 512,
+                           "total": 100, "good": 97, "bad": 3,
+                           "good_ratio": 0.97}}
+        frame = render_top(self._stats(), healthz,
+                           url="http://127.0.0.1:8080")
+        assert "status degraded" in frame
+        assert "SLO 97.0% good" in frame
+        assert "p50 12.5 ms" in frame
+        assert "caches: result 5/7 h/m   graph 9/3 h/m" in frame
+
+    def test_single_process_frame(self):
+        frame = render_top(self._stats(), {})
+        assert "batcher[timing-full]" in frame
+        assert "pool" not in frame and "shed" not in frame
 
 
 # -- serving integration: /metrics endpoint ------------------------------------

@@ -7,8 +7,7 @@ must produce identical endpoint metrics (to 1e-9) for the same
 (model, design) pair, because they share one implementation
 (``repro.ml.endpoint_metrics``).  The rest pins down the operational
 contract: auditing never blocks the request path, respects its token
-budget, rotates its log like a trace sink, and merges losslessly
-through the fleet aggregator after a pooled shutdown.
+budget and rotates its log like a trace sink.
 
 Models are untrained (random init): every property under test is
 independent of model quality.
@@ -18,25 +17,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import queue
 import time
 
 import numpy as np
 import pytest
 
 from repro.flow import Flow
-from repro.graphdata.hetero import HeteroGraph
 from repro.ml import (endpoint_slack_metrics, spearman_correlation,
                       top_k_negative_recall, worst_slack_per_endpoint)
 from repro.models import ModelConfig, TimingGNN
 from repro.obs.quality import (AccuracySlo, AuditLog, DriftTracker,
                                FeatureProfile, QualityMonitor)
-from repro.parallel import ShmArena
-from repro.serving import (ModelRegistry, PooledPredictionService,
-                           PredictionService)
-from repro.serving.pool.worker import (MSG_MODEL, MSG_PREDICT, MSG_STOP,
-                                       PoolWorker, R_OK)
+from repro.serving import ModelRegistry, PredictionService
 from repro.serving.registry import ModelEntry
 from repro.training.evaluate import endpoint_metrics_for, evaluate_timing_gnn
 
@@ -472,90 +464,6 @@ class TestOnlineOfflineDifferential:
             assert "accuracy_slo" in health["quality"]["breached"]
         finally:
             service.close()
-
-
-# -- worker-side auditing and fleet merge --------------------------------------
-class TestWorkerAudits:
-    def test_worker_audits_in_process(self, graphs, toy_model, monkeypatch,
-                                      tmp_path):
-        """Drive the worker serve loop in-process: every timing item gets
-        audited after its R_OK, and the final forced stats publish
-        carries the audit counters (that ordering is what makes the
-        fleet merge lossless post-shutdown)."""
-        monkeypatch.setenv("REPRO_AUDIT_RATE", "1")
-        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-        arena = ShmArena(prefix=f"rpqual{os.getpid():x}")
-        graph = graphs["spm"]
-        params = {n: p.data for n, p in toy_model.named_parameters()}
-        model_seg = arena.publish("model", params)
-        spec = {"kind": "timing", "cls": "TimingGNN",
-                "config": toy_model.cfg}
-        graph_seg = arena.publish("graph", {
-            n: getattr(graph, n) for n in HeteroGraph._ARRAY_FIELDS},
-            meta={"name": graph.name, "split": graph.split,
-                  "clock_period": float(graph.clock_period)})
-        qin, qout, stats_q = queue.Queue(), queue.Queue(), queue.Queue()
-        qin.put((MSG_MODEL, "toy", "v1", model_seg, spec))
-        for i in range(3):
-            qin.put((MSG_PREDICT, i, "toy", "gkey", graph_seg, False,
-                     None))
-        qin.put((MSG_STOP,))
-        worker = PoolWorker(0, qin, qout, window_s=0.001, poll_s=0.01,
-                            stats_q=stats_q, stats_interval_s=0.0)
-        worker.serve()
-        arena.close_all()
-        oks = []
-        while True:
-            try:
-                response = qout.get_nowait()
-            except queue.Empty:
-                break
-            if response[0] == R_OK:
-                oks.append(response)
-        assert len(oks) == 3
-        state = None
-        while True:
-            try:
-                _wid, _pid, _ts, state = stats_q.get_nowait()
-            except queue.Empty:
-                break
-        assert state is not None
-        series = state["repro_worker_quality_audits_total"]["series"]
-        assert sum(s["value"] for s in series) == 3
-
-    def test_pooled_fleet_merge_lossless_post_shutdown(
-            self, toy_model, monkeypatch, tmp_path):
-        """Acceptance: pool-worker audit counters merge losslessly —
-        after close(), the fleet-summed audit count equals the number of
-        timing requests the pool served, and the parent's folded stats
-        agree."""
-        monkeypatch.setenv("REPRO_AUDIT_RATE", "1")
-        monkeypatch.setenv("REPRO_AUDIT_BUDGET", "100000")
-        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-        stream = 6
-        service = PooledPredictionService(
-            registry=toy_registry(toy_model), scale=SCALE, workers=2)
-        try:
-            for _ in range(stream):
-                response = service.predict({"design": "spm",
-                                            "model": "toy",
-                                            "no_cache": True})
-                assert not response.degraded
-        finally:
-            service.close()
-        # Workers drain their audit queues before the forced final
-        # stats publish, and the router drains the stats queue before
-        # close() returns: nothing in flight can be lost.
-        fleet = service.router.fleet
-        assert fleet.counter_total(
-            "repro_worker_quality_audits_total") == stream
-        stats = service.stats()
-        assert stats["quality"]["worker_audits"] == stream
-        assert stats["quality"]["samples"] == stream
-        assert stats["quality"]["slack_mae_ps"] is not None
-        summary = fleet.summary()
-        assert summary["worker_quality"]["audits"] == stream
-        assert summary["worker_quality"]["scored"] == stream
 
 
 # -- CLI surfacing -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Serving-layer semantics: batching equivalence, concurrency, caches,
-deadlines, degradation, the HTTP front-end and the load generator.
+deadlines, degradation, request validation, the HTTP front-end, the
+load generator and ``repro serve`` shutdown.
 
 Models here are deliberately *untrained* (random initialization): every
 serving property under test — numerical equivalence of micro-batched
@@ -12,6 +13,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -218,6 +223,13 @@ class TestPredictionService:
             service.predict({"design": "not_a_benchmark", "model": "toy"})
         assert err.value.status == 404
 
+    def test_seed_must_be_a_nonnegative_integer(self):
+        from repro.serving.service import seed_integer
+        assert seed_integer(2.0) == 2 and seed_integer("3") == 3
+        for bad in (-1, 2.7, float("nan"), float("inf"), "2.5", None):
+            with pytest.raises(RequestError, match="'seed'"):
+                seed_integer(bad)
+
     def test_validation_rejects_ambiguous_source(self, service):
         with pytest.raises(RequestError):
             service.predict({"model": "toy"})
@@ -358,6 +370,31 @@ class TestHTTPServer:
         status, _ = _get(server.url + "/stats")
         assert status == 200
 
+    @pytest.mark.parametrize("path", ["/predict", "/predict/delta"])
+    @pytest.mark.parametrize("seed", [-1, 2.7])
+    def test_bad_seed_is_400(self, server, path, seed):
+        """A negative seed would fail inside ``np.random.default_rng``
+        (a 500), and ``int()`` would serve 2.7 as seed 2."""
+        status, body = _post(server.url + path,
+                             {"design": "spm", "model": "toy",
+                              "seed": seed})
+        assert status == 400, body
+        assert "'seed'" in body["error"]
+
+    @pytest.mark.parametrize("path", ["/predict", "/predict/delta"])
+    def test_internal_fault_is_500_and_counts_against_slo(
+            self, server, path, monkeypatch):
+        def fault(request):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(server.service, "resolve_graph", fault)
+        status, body = _post(server.url + path,
+                             {"design": "spm", "model": "toy"})
+        assert status == 500 and "injected fault" in body["error"]
+        assert server.service.slo.summary()["bad"] == 1
+        _status, health = _get(server.url + "/healthz")
+        assert health["slo"]["good_ratio"] == 0.0
+
     def test_unknown_route_404(self, server):
         try:
             status, _ = _get(server.url + "/nope")
@@ -382,6 +419,39 @@ class TestLoadgen:
         assert result.warmup_requests == 2
         assert result.throughput_rps > 0
         assert result.server_stats["result_cache"]["hit_rate"] > 0
+
+
+# -- `repro serve` graceful shutdown -------------------------------------------
+class TestServeShutdown:
+    def test_sigterm_exits_cleanly(self):
+        """SIGTERM sent the moment `repro serve` prints its ready line
+        drains and exits 0, so the signal handlers were installed before
+        that line."""
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"),
+                   PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--no-warm", "--scale", str(SCALE)],
+            cwd=repo, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        # A server that hangs before its ready line is killed, which
+        # closes stdout and ends the scan below.
+        watchdog = threading.Timer(60.0, proc.kill)
+        watchdog.start()
+        try:
+            ready = next((line for line in proc.stdout
+                          if "serving on http" in line), None)
+            assert ready is not None, "server never reported ready"
+            proc.send_signal(signal.SIGTERM)
+            rest, _ = proc.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert proc.returncode == 0, rest
+        assert "draining and shutting down" in rest
 
 
 # -- experiments.common thread-safety -----------------------------------------
