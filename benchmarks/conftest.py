@@ -1,11 +1,12 @@
 """Benchmark harness configuration.
 
 Each benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index).  Heavy artifacts — the 21-design dataset
-and the trained models — are cached on disk under the repro cache dir,
-so the first run trains everything (tens of minutes on a laptop CPU) and
-subsequent runs are fast.  Set REPRO_SCALE / REPRO_EPOCHS to trade
-fidelity for speed, e.g.::
+DESIGN.md's experiment index); ``test_kernel_speedup.py`` is instead
+the fused-kernel speed gate that ``scripts/ci.sh`` runs.  Heavy
+artifacts — the 21-design dataset and the trained models — are cached
+on disk under the repro cache dir, so the first run trains everything
+(tens of minutes on a laptop CPU) and subsequent runs are fast.  Set
+REPRO_SCALE / REPRO_EPOCHS to trade fidelity for speed, e.g.::
 
     REPRO_SCALE=0.3 REPRO_EPOCHS=5 pytest benchmarks/ --benchmark-only
 """

@@ -20,8 +20,8 @@ Covered packages (each with its own test files and an 80% floor):
   and the shadow-audit quality monitor, driven by tests/test_obs.py,
   tests/test_runs.py and tests/test_quality.py;
 * ``src/repro/serving`` — the prediction service, HTTP front-end,
-  micro-batcher, delta sessions and load generator, driven by
-  tests/test_serving.py, tests/test_delta.py and tests/test_quality.py;
+  micro-batcher and delta sessions, driven by tests/test_serving.py,
+  tests/test_delta.py and tests/test_quality.py;
 * ``src/repro/sta`` — the static timing engine, incremental timer and
   path enumeration, driven by tests/test_sta.py,
   tests/test_sta_properties.py, tests/test_incremental.py,

@@ -9,10 +9,7 @@ Usage (also available as ``python -m repro``):
     repro train --variant full           # train the timer-inspired GNN
     repro predict usbf_device            # model vs. ground-truth slack
     repro serve --port 8080              # HTTP slack-prediction service
-    repro bench-serve --clients 8        # loadgen benchmark of the service
-    repro bench-compute --reps 5         # fused vs. naive kernel benchmark
-    repro bench diff --check             # gate BENCH files vs. run ledger
-    repro runs ls                        # recorded training/bench runs
+    repro runs ls                        # recorded training runs
     repro profile --backend fused        # per-op profile of a train step
     repro report --html -o report.html   # static HTML trajectory report
     repro stats --url http://host:8080   # stats/metrics of a live server
@@ -149,6 +146,10 @@ def _cmd_train(args):
     from .obs import default_ledger
     from .training import evaluate_on
 
+    # A model served from the checkpoint cache records no run, so only a
+    # run newer than the one before the call belongs to this command.
+    ledger = default_ledger()
+    before = (ledger.latest(kind="train") or {}).get("run_id")
     model = trained_timing_gnn(args.variant, scale=args.scale,
                                epochs=args.epochs)
     train, test = train_test_graphs(args.scale)
@@ -158,8 +159,8 @@ def _cmd_train(args):
         for name, m in metrics.items():
             print(f"{name:<16}{split:<7}{m['arrival_r2']:>12.4f}"
                   f"{m['slack_r2']:>10.4f}")
-    latest = default_ledger().latest(kind="train")
-    if latest is not None:
+    latest = ledger.latest(kind="train")
+    if latest is not None and latest["run_id"] != before:
         print(f"\nrun recorded: {latest['run_id']}  "
               f"(see `repro runs show {latest['run_id']}`)")
     else:
@@ -191,23 +192,16 @@ def _cmd_predict(args):
     return 0
 
 
-def _build_service(args):
-    """The in-process PredictionService the CLI flags describe."""
-    from .serving import ModelRegistry, PredictionService
-
-    registry = ModelRegistry(scale=args.scale, epochs=args.epochs)
-    return PredictionService(registry=registry, scale=args.scale,
-                             batch_window_ms=args.batch_window_ms,
-                             max_batch=args.max_batch)
-
-
 def _cmd_serve(args):
     import signal
     import threading
 
-    from .serving import ServingServer
+    from .serving import ModelRegistry, PredictionService, ServingServer
 
-    service = _build_service(args)
+    registry = ModelRegistry(scale=args.scale, epochs=args.epochs)
+    service = PredictionService(registry=registry, scale=args.scale,
+                                batch_window_ms=args.batch_window_ms,
+                                max_batch=args.max_batch)
     if args.warm:
         print(f"warming model {args.model_variant!r} ...")
         service.warm(models=[args.model_variant])
@@ -239,243 +233,14 @@ def _cmd_serve(args):
     return 0
 
 
-def _bench_delta(args, designs):
-    """One ECO iteration: incremental delta vs full rebuild, in-process.
-
-    Drives the largest of ``designs`` (by node count).  After a cell
-    move, a service without the delta path must rebuild the graph —
-    re-route, full STA, re-extraction — and run a whole-graph forward;
-    that conventional iteration is the ``full_latency_ms`` baseline.
-    The delta iteration is one single-edit ``/predict/delta`` request
-    end to end (feature patch + cone-limited forward; it neither routes
-    nor runs STA).  Recorded as ``extra["delta"]`` in BENCH_serving.json;
-    scripts/ci.sh asserts ``delta_speedup > 1``.
-    """
-    import time
-
-    from . import nn
-    from .graphdata import extract_graph
-    from .routing import route_design
-    from .serving.service import PredictRequest
-    from .sta import build_timing_graph, run_sta
-
-    service = _build_service(args)
-    try:
-        service.warm(models=[args.model_variant], designs=designs)
-
-        def nodes(name):
-            graph, _key, _hit = service.resolve_graph(
-                PredictRequest(design=name,
-                               model=args.model_variant).validate())
-            return graph.num_nodes
-
-        design = max(designs, key=nodes)
-        body = {"design": design, "model": args.model_variant,
-                "no_cache": True}
-        session = service.delta_session(design)
-        model = service.registry.get(args.model_variant).model
-        patcher = session.patcher
-        cells = patcher.design.combinational_cells
-        die = patcher.placement.die
-        rng = np.random.default_rng(0)
-
-        def move_edit():
-            cell = cells[int(rng.integers(len(cells)))]
-            return {"op": "move_cell", "cell": cell.name,
-                    "x": float(rng.uniform(0, die.width)),
-                    "y": float(rng.uniform(0, die.height))}
-
-        # Conventional iterations: the edit applies untimed, then the
-        # timed section is everything a non-incremental service redoes —
-        # re-route, full STA, re-extraction, whole-graph forward.
-        full_ms = []
-        from .graphdata.patch import parse_edits
-        with session.lock:
-            for _ in range(max(3, args.delta_edits // 4)):
-                session.apply(parse_edits([move_edit()]))
-                start = time.perf_counter()
-                routing = route_design(patcher.design, patcher.placement)
-                graph = build_timing_graph(patcher.design)
-                result = run_sta(patcher.design, patcher.placement,
-                                 routing, clock_period=patcher.clock_period,
-                                 graph=graph)
-                hetero = extract_graph(graph, patcher.placement, result,
-                                       split=patcher.hetero.split)
-                with nn.no_grad():
-                    model.predict(hetero)
-                full_ms.append((time.perf_counter() - start) * 1000.0)
-
-        # First delta request pays the session catch-up (a full
-        # incremental pass); run it untimed so the timed loop measures
-        # steady-state single-edit cones.
-        service.predict_delta(dict(body, edits=[]))
-        delta_ms = []
-        for _ in range(args.delta_edits):
-            start = time.perf_counter()
-            service.predict_delta(dict(body, edits=[move_edit()]))
-            delta_ms.append((time.perf_counter() - start) * 1000.0)
-
-        full = float(np.median(full_ms))
-        delta = float(np.median(delta_ms))
-        return {"design": design, "num_nodes": nodes(design),
-                "edits": args.delta_edits,
-                "full_latency_ms": round(full, 3),
-                "delta_latency_ms": round(delta, 3),
-                "delta_speedup": round(full / delta, 3) if delta > 0
-                else 0.0}
-    finally:
-        service.close()
-
-
-def _cmd_bench_serve(args):
-    from .netlist import benchmark_names
-    from .serving import (ServingServer, format_loadgen_report,
-                          run_loadgen)
-
-    designs = args.designs or benchmark_names("test")[:args.num_designs]
-
-    service = _build_service(args)
-    print(f"warming model {args.model_variant!r} and "
-          f"{len(designs)} design graphs ...")
-    service.warm(models=[args.model_variant], designs=designs)
-    try:
-        with ServingServer(service) as server:
-            print(f"driving {server.url} with {args.clients} clients x "
-                  f"{args.requests_per_client} requests over {designs}")
-            result = run_loadgen(
-                server.url, designs, clients=args.clients,
-                requests_per_client=args.requests_per_client,
-                model=args.model_variant, deadline_ms=args.deadline_ms,
-                warmup_requests=args.warmup_requests,
-                no_cache=args.no_cache)
-    finally:
-        service.close()
-    print(format_loadgen_report(result))
-
-    extra = {}
-    quality = result.server_stats.get("quality") or {}
-    if quality.get("enabled"):
-        # Shadow-audit digest (REPRO_AUDIT_RATE > 0); scripts/ci.sh
-        # asserts these fields are well-formed for audited runs.
-        extra["audit"] = {
-            "samples": int(quality.get("samples", 0) or 0),
-            "slack_mae_ps": quality.get("slack_mae_ps"),
-            "drift_score": quality.get("drift_score"),
-            "rate": quality.get("rate"),
-        }
-        mae = extra["audit"]["slack_mae_ps"]
-        print(f"shadow audits: {extra['audit']['samples']} scored, "
-              f"slack MAE "
-              + (f"{mae:.2f} ps" if mae is not None else "n/a"))
-    if args.delta:
-        print(f"[delta] timing {args.delta_edits} single-edit deltas "
-              f"vs full rebuild-and-forward iterations ...")
-        extra["delta"] = _bench_delta(args, designs)
-        print(f"delta speedup on {extra['delta']['design']}: "
-              f"{extra['delta']['delta_speedup']:.2f}x "
-              f"({extra['delta']['full_latency_ms']:.1f} ms full -> "
-              f"{extra['delta']['delta_latency_ms']:.1f} ms delta)")
-    if args.bench_json:
-        from .serving import write_bench_json
-        path = write_bench_json(result, args.bench_json, params={
-            "clients": args.clients,
-            "requests_per_client": args.requests_per_client,
-            "model": args.model_variant, "designs": list(designs),
-            "scale": args.scale, "epochs": args.epochs,
-            "deadline_ms": args.deadline_ms,
-            "batch_window_ms": args.batch_window_ms,
-            "max_batch": args.max_batch,
-            "no_cache": args.no_cache}, extra=extra)
-        print(f"wrote {path}")
-    bad = result.errors + result.incorrect
-    if bad:
-        print(f"FAILED: {bad} bad responses", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_compute(args):
-    from .bench import (format_compute_report, run_compute_bench,
-                        write_compute_bench_json)
-    from .graphdata import load_dataset
-    from .netlist import BENCHMARKS
-
-    scale = args.scale
-    if scale is None:
-        scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    if args.quick:
-        # Smoke mode: one design at a bounded scale, the two stages the
-        # CI speedup gate reads, enough interleaved reps to dodge noise.
-        # Explicit --scale / --designs still win.
-        if args.scale is None:
-            scale = min(scale, 0.5)
-        if args.designs is None:
-            args.num_designs = 1
-        args.stages = ["forward", "forward_backward"]
-        args.reps = max(args.reps, 7)
-        args.warmup = max(args.warmup, 2)
-    by_name = {b.name: b for b in BENCHMARKS}
-    if args.designs:
-        unknown = [n for n in args.designs if n not in by_name]
-        if unknown:
-            print(f"unknown benchmarks: {unknown}", file=sys.stderr)
-            return 2
-        benchmarks = [by_name[n] for n in args.designs]
-        records = load_dataset(scale=scale, benchmarks=benchmarks)
-        graphs = [records[b.name].graph for b in benchmarks]
-    else:
-        # Default: the --num-designs largest designs of the suite, where
-        # the kernel-level differences actually show.
-        records = load_dataset(scale=scale)
-        graphs = sorted((r.graph for r in records.values()),
-                        key=lambda g: g.num_nodes,
-                        reverse=True)[:args.num_designs]
-    from . import nn
-    import contextlib
-
-    threads_ctx = (nn.use_threads(args.threads)
-                   if args.threads is not None else contextlib.nullcontext())
-    with threads_ctx:
-        threads = nn.thread_count()
-        print(f"benchmarking {len(graphs)} designs at scale {scale} "
-              f"({args.reps} reps, {args.warmup} warmup, "
-              f"dtypes {args.dtypes}, threads {threads}) ...")
-        result = run_compute_bench(graphs, reps=args.reps,
-                                   warmup=args.warmup, stages=args.stages,
-                                   dtypes=args.dtypes)
-    print(format_compute_report(result))
-    if args.bench_json:
-        path = write_compute_bench_json(result, args.bench_json, params={
-            "designs": [g.name for g in graphs], "scale": scale,
-            "reps": args.reps, "warmup": args.warmup,
-            "dtypes": list(args.dtypes), "threads": threads,
-            "quick": bool(args.quick)})
-        print(f"wrote {path}")
-    return 0
-
-
 def _summarize_run(record):
     """One-line description of a run record for `repro runs ls`."""
-    kind = str(record.get("kind", "?"))
-    if kind.startswith("train"):
-        loss = record.get("loss") or []
-        detail = (f"epochs={len(loss)} "
-                  f"final_loss={record.get('final_loss'):.5g}"
-                  if record.get("final_loss") is not None
-                  else f"epochs={len(loss)}")
-    elif kind.startswith("bench"):
-        payload = record.get("payload") or {}
-        if payload.get("benchmark") == "serving":
-            detail = (f"rps={payload.get('throughput_rps', 0):.1f} "
-                      f"p99={payload.get('latency_p99_ms', 0):.1f}ms")
-        else:
-            summary = payload.get("summary") or {}
-            geo = summary.get("speedup_train_step_geomean")
-            detail = f"speedup={geo:.2f}x" if geo else \
-                f"designs={len(payload.get('designs', []))}"
-    else:
-        detail = ""
-    return detail
+    if not str(record.get("kind", "?")).startswith("train"):
+        return ""
+    loss = record.get("loss") or []
+    if record.get("final_loss") is None:
+        return f"epochs={len(loss)}"
+    return f"epochs={len(loss)} final_loss={record['final_loss']:.5g}"
 
 
 def _cmd_runs(args):
@@ -570,45 +335,13 @@ def _cmd_audit(args):
     raise AssertionError(args.action)
 
 
-def _cmd_bench(args):
-    from .bench import (DEFAULT_TOLERANCE, check_bench_file,
-                        format_diff_report)
-    from .obs import default_ledger
-
-    assert args.action == "diff"
-    ledger = default_ledger()
-    tolerance = args.tolerance if args.tolerance is not None \
-        else DEFAULT_TOLERANCE
-    regressed, seen = False, 0
-    for path in (args.compute, args.serving):
-        if not path:
-            continue
-        status, deltas = check_bench_file(
-            path, ledger=ledger, tolerance=tolerance, record=args.record)
-        if status == "missing":
-            print(f"bench diff {path}: missing (skipped)")
-            continue
-        seen += 1
-        print(format_diff_report(path, status, deltas, tolerance=tolerance))
-        regressed = regressed or status == "regression"
-    if seen == 0:
-        print("bench diff: no BENCH files found — run `repro bench-compute`"
-              " / `repro bench-serve` first")
-    if regressed:
-        print("bench diff: REGRESSION past tolerance "
-              f"{tolerance * 100:.0f}%", file=sys.stderr)
-        return 1 if args.check else 0
-    return 0
-
-
 def _cmd_profile(args):
+    from .experiments import experiment_scale
     from .graphdata import load_dataset
     from .netlist import BENCHMARKS
     from .obs import format_profile_table, profile_train_step
 
-    scale = args.scale
-    if scale is None:
-        scale = float(os.environ.get("REPRO_SCALE", "1.0"))
+    scale = experiment_scale() if args.scale is None else args.scale
     by_name = {b.name: b for b in BENCHMARKS}
     if args.design not in by_name:
         print(f"unknown benchmark {args.design}", file=sys.stderr)
@@ -902,98 +635,14 @@ def build_parser():
                    help="skip eager model loading at startup")
     p.set_defaults(func=_cmd_serve, warm=True)
 
-    p = sub.add_parser("bench-serve",
-                       help="benchmark the serving layer with concurrent "
-                            "clients")
-    p.add_argument("--clients", type=int, default=8)
-    p.add_argument("--requests-per-client", type=int, default=8)
-    p.add_argument("--model-variant", default="timing-full")
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--designs", nargs="*", default=None,
-                   help="benchmark names to request (default: first "
-                        "--num-designs test designs)")
-    p.add_argument("--num-designs", type=int, default=3)
-    p.add_argument("--deadline-ms", type=float, default=None)
-    p.add_argument("--batch-window-ms", type=float, default=2.0)
-    p.add_argument("--max-batch", type=int, default=16)
-    p.add_argument("--cached", dest="no_cache", action="store_false",
-                   help="let requests hit the server result cache "
-                        "(default: bypass it so every request runs a "
-                        "real model forward)")
-    p.add_argument("--warmup-requests", type=int, default=None,
-                   help="untimed /predict calls before the timed phase "
-                        "(default: one per design; 0 disables)")
-    p.add_argument("--bench-json", default="BENCH_serving.json",
-                   help="record the run to this JSON file "
-                        "('' disables)")
-    p.add_argument("--delta", action="store_true",
-                   help="also time single-edit /predict/delta requests "
-                        "against conventional rebuild-and-forward ECO "
-                        "iterations on the largest design")
-    p.add_argument("--delta-edits", type=int, default=16,
-                   help="number of timed move_cell deltas in the "
-                        "--delta phase")
-    p.set_defaults(func=_cmd_bench_serve, no_cache=True)
-
-    p = sub.add_parser("bench-compute",
-                       help="benchmark fused vs. naive kernel backends "
-                            "on full-model passes")
-    p.add_argument("--designs", nargs="*", default=None,
-                   help="benchmark names (default: the --num-designs "
-                        "largest designs of the suite)")
-    p.add_argument("--num-designs", type=int, default=3)
-    p.add_argument("--scale", type=float, default=None,
-                   help="design scale (default: REPRO_SCALE)")
-    p.add_argument("--reps", type=int, default=3,
-                   help="timed passes per (design, backend, stage) cell")
-    p.add_argument("--warmup", type=int, default=1,
-                   help="untimed passes before timing each cell")
-    p.add_argument("--stages", nargs="*",
-                   default=["forward", "forward_backward", "train_step"],
-                   choices=["forward", "forward_backward", "train_step"])
-    p.add_argument("--dtypes", nargs="*", default=["float64", "float32"],
-                   choices=["float64", "float32"],
-                   help="dtypes the fused backend is timed at (naive "
-                        "always runs the float64 reference)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="compute-thread budget for the run (default: "
-                        "REPRO_COMPUTE_THREADS)")
-    p.add_argument("--quick", action="store_true",
-                   help="smoke mode: largest design only, forward + "
-                        "forward_backward, capped scale/reps — the CI "
-                        "smoke settings")
-    p.add_argument("--bench-json", default="BENCH_compute.json",
-                   help="record the run to this JSON file ('' disables)")
-    p.set_defaults(func=_cmd_bench_compute)
-
-    p = sub.add_parser("bench",
-                       help="bench artefact tooling (`bench diff` gates "
-                            "BENCH files against the run ledger)")
-    p.add_argument("action", choices=["diff"])
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero when any metric regresses past "
-                        "the tolerance")
-    p.add_argument("--record", action="store_true",
-                   help="append the current BENCH payloads to the ledger "
-                        "after comparing (start/extend the baseline "
-                        "history)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="relative regression tolerance (default 0.5 = "
-                        "50%%)")
-    p.add_argument("--compute", default="BENCH_compute.json",
-                   help="compute bench artefact ('' skips)")
-    p.add_argument("--serving", default="BENCH_serving.json",
-                   help="serving bench artefact ('' skips)")
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser("runs",
                        help="inspect the run ledger (REPRO_RUNS_DIR)")
     p.add_argument("action", choices=["ls", "show", "export"])
     p.add_argument("run_id", nargs="?", default=None,
                    help="run id (or unique prefix) for `show`")
     p.add_argument("--kind", default=None,
-                   help="filter by kind prefix (train, bench, ...)")
+                   help="filter by kind prefix (train, train_gcnii, "
+                        "...)")
     p.add_argument("-n", "--last", type=int, default=None,
                    help="only the N most recent runs (ls)")
     p.add_argument("-o", "--output", default=None,

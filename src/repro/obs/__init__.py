@@ -13,10 +13,9 @@ independent primitives, one import point:
 * :mod:`.logging` — structured key=value records with per-module
   levels (``REPRO_LOG=repro.training=debug``);
 * :mod:`.runs` — append-only, schema-versioned run ledger under
-  ``REPRO_RUNS_DIR``: every training and bench run leaves a durable
-  JSONL record (config fingerprint, loss series, per-design R², bench
-  payloads) that ``repro runs``, ``repro bench diff`` and
-  ``repro report --html`` (:mod:`.report`, which also renders the
+  ``REPRO_RUNS_DIR``: every training run leaves a durable JSONL record
+  (config fingerprint, loss series, per-design R²) that ``repro runs``
+  and ``repro report --html`` (:mod:`.report`, which also renders the
   ``repro top`` dashboard frame) consume;
 * :mod:`.profile` — opt-in tape-level profiler: per-op / per-kernel
   wall time and output bytes on both autograd backends, with backward

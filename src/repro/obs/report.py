@@ -6,8 +6,6 @@ external assets, open it from the filesystem:
 
 * training loss curves (per-epoch series of the recent train runs);
 * per-design R² table from the latest evaluated training runs;
-* bench trajectory (compute geomean speedup / stage times and serving
-  throughput across recorded bench runs);
 * prediction quality: endpoint accuracy of the latest evaluated run
   plus the shadow-audit slack-error trend (repro.obs.quality);
 * the paper's Figure-4 view: predicted-vs-true endpoint slack scatter
@@ -217,38 +215,6 @@ def _r2_section(train_runs):
     return out
 
 
-def _bench_section(bench_runs):
-    out = ["<h2>Bench trajectory</h2>"]
-    compute = [r for r in bench_runs if r.get("kind") == "bench_compute"]
-    serving = [r for r in bench_runs if r.get("kind") == "bench_serving"]
-    if not compute and not serving:
-        out.append("<p class='note'>no bench runs recorded — run "
-                   "<code>repro bench-compute</code> / "
-                   "<code>repro bench diff --record</code></p>")
-        return out
-    if compute:
-        chart = _Chart()
-        idx = list(range(1, len(compute) + 1))
-        for stage in ("forward", "train_step"):
-            ys = [((r.get("payload") or {}).get("summary") or {})
-                  .get(f"speedup_{stage}_geomean") for r in compute]
-            chart.add(f"speedup {stage}", idx, ys)
-        out.append(chart.svg(title="compute: fused/naive geomean speedup",
-                             x_label="recorded run #", y_label="speedup ×"))
-    if serving:
-        chart = _Chart()
-        idx = list(range(1, len(serving) + 1))
-        chart.add("throughput rps", idx,
-                  [(r.get("payload") or {}).get("throughput_rps")
-                   for r in serving])
-        chart.add("p99 ms", idx,
-                  [(r.get("payload") or {}).get("latency_p99_ms")
-                   for r in serving])
-        out.append(chart.svg(title="serving: throughput and tail latency",
-                             x_label="recorded run #"))
-    return out
-
-
 def _figure4_section(train_runs):
     out = ["<h2>Slack scatter (paper Figure 4)</h2>"]
     with_scatter = [r for r in train_runs if r.get("slack_scatter")]
@@ -301,7 +267,7 @@ def _quality_section(train_runs, audit_log=None):
         out.append("</table>")
     else:
         out.append("<p class='note'>no endpoint-evaluated training runs "
-                   "yet — recorded by <code>repro train --eval</code></p>")
+                   "yet — recorded by <code>repro train</code></p>")
     # Shadow-audit trend from the audit log (if one exists).
     if audit_log is None:
         from .quality import AuditLog
@@ -340,15 +306,12 @@ def render_html_report(ledger=None, title="repro run report"):
     records, corrupt = ledger.scan()
     train_runs = [r for r in records
                   if str(r.get("kind", "")).startswith("train")]
-    bench_runs = [r for r in records
-                  if str(r.get("kind", "")).startswith("bench")]
     body = [f"<h1>{html.escape(title)}</h1>",
             f"<p class='note'>ledger: <code>{html.escape(ledger.path)}</code>"
-            f" — {len(records)} runs ({len(train_runs)} training, "
-            f"{len(bench_runs)} bench), {corrupt} corrupt lines skipped</p>"]
+            f" — {len(records)} runs ({len(train_runs)} training), "
+            f"{corrupt} corrupt lines skipped</p>"]
     body += _training_section(train_runs)
     body += _r2_section(train_runs)
-    body += _bench_section(bench_runs)
     body += _quality_section(train_runs)
     body += _figure4_section(train_runs)
     return ("<!doctype html><html><head><meta charset='utf-8'>"

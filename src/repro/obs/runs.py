@@ -1,4 +1,4 @@
-"""Append-only run ledger: durable history of training and bench runs.
+"""Append-only run ledger: durable history of training runs.
 
 The live half of the observability stack (metrics/tracing/logging)
 answers "what is happening right now"; this module answers "what has
@@ -10,17 +10,15 @@ in the working directory):
   later readers can migrate or skip old shapes;
 * **append-only, atomic** — each record is serialized to one line and
   written with a single ``os.write`` on an ``O_APPEND`` descriptor, so
-  concurrent writers (parallel trainers, a bench run racing a training
-  run) never interleave partial lines;
+  concurrent writers (parallel trainers) never interleave partial
+  lines;
 * **corrupt-line tolerant** — reads skip lines that fail to parse (a
   crashed writer, a truncated disk) and report how many were skipped
   instead of refusing the whole history.
 
-Every ``train_*`` call in :mod:`repro.training.trainer` and every bench
-harness (``repro bench-compute`` / ``repro bench-serve``) appends a run;
-``repro runs {ls,show,export}`` inspects the ledger, ``repro bench
-diff`` gates new bench results against it, and ``repro report --html``
-renders the whole trajectory.
+Every ``train_*`` call in :mod:`repro.training.trainer` appends a run;
+``repro runs {ls,show,export}`` inspects the ledger and ``repro report
+--html`` renders the whole trajectory.
 """
 
 from __future__ import annotations
@@ -155,12 +153,10 @@ class RunLedger:
             return exact
         return prefixed[-1] if len(prefixed) >= 1 else None
 
-    def latest(self, kind=None, where=None):
-        """The most recent record matching ``kind`` / predicate, or None."""
-        for record in reversed(self.read(kind=kind)):
-            if where is None or where(record):
-                return record
-        return None
+    def latest(self, kind=None):
+        """The most recent record matching ``kind``, or None."""
+        records = self.read(kind=kind)
+        return records[-1] if records else None
 
 
 def default_ledger():
@@ -173,7 +169,7 @@ def record_run(kind, **fields):
     """Append one run of ``kind`` to the default ledger; returns the record.
 
     Never raises on I/O problems — the ledger is telemetry, and a
-    read-only filesystem must not break training or benchmarking.
+    read-only filesystem must not break training.
     """
     try:
         return default_ledger().append({"kind": kind, **fields})

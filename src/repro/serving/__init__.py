@@ -10,9 +10,7 @@ The reproduction's first traffic-facing subsystem (see DESIGN.md §3):
 * :mod:`.delta`     — incremental (ECO) prediction sessions: apply a
   small edit list to a live graph and re-predict cone-limited;
 * :mod:`.http`      — stdlib JSON/HTTP front-end (``/predict``,
-  ``/models``, ``/healthz``, ``/stats``, Prometheus ``/metrics``);
-* :mod:`.loadgen`   — concurrent load-generator benchmark harness
-  (results tracked across PRs in ``BENCH_serving.json``).
+  ``/models``, ``/healthz``, ``/stats``, Prometheus ``/metrics``).
 
 Serving runs in one process: one :class:`PredictionService` answers
 every request, and its micro-batcher coalesces concurrent ones.
@@ -24,8 +22,6 @@ from .batching import BatchTimeout, MicroBatcher
 from .cache import LRUCache
 from .delta import DeltaClient, DeltaRequest, DeltaSession
 from .http import ServingServer, make_server
-from .loadgen import (LoadgenResult, format_loadgen_report, run_loadgen,
-                      write_bench_json)
 from .registry import (DEFAULT_MODELS, ModelEntry, ModelLoadError,
                        ModelRegistry)
 from .service import (DeadlineExceeded, PredictionService, PredictRequest,
@@ -36,8 +32,6 @@ __all__ = [
     "LRUCache",
     "DeltaClient", "DeltaRequest", "DeltaSession",
     "ServingServer", "make_server",
-    "LoadgenResult", "format_loadgen_report", "run_loadgen",
-    "write_bench_json",
     "DEFAULT_MODELS", "ModelEntry", "ModelLoadError", "ModelRegistry",
     "DeadlineExceeded", "PredictionService",
     "PredictRequest", "PredictResponse", "RequestError",

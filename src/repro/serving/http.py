@@ -155,9 +155,9 @@ def make_server(service, host="127.0.0.1", port=8080, quiet=True):
     ``port=0`` picks a free ephemeral port (see ``server_address``).
     """
     # The stdlib default accept backlog (request_queue_size=5) drops
-    # connections with ECONNRESET when hundreds of loadgen clients
-    # burst-connect; listen deeper so every connection gets accepted
-    # and waits its turn on its own handler thread.
+    # connections with ECONNRESET when hundreds of clients burst-connect;
+    # listen deeper so every connection gets accepted and waits its turn
+    # on its own handler thread.
     server_cls = type("_Server", (ThreadingHTTPServer,),
                       {"request_queue_size": 256})
     server = server_cls((host, port), _make_handler(service, quiet=quiet))
@@ -168,7 +168,7 @@ def make_server(service, host="127.0.0.1", port=8080, quiet=True):
 class ServingServer:
     """Owns a service + HTTP server pair; start/stop for embedding.
 
-    Used by ``repro bench-serve``, the load-generator tests, and any
+    Used by the serving tests, the ``perf/`` benchmark server and any
     caller that wants a warm server inside the current process.
     """
 

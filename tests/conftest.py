@@ -76,7 +76,7 @@ def rng():
 def _isolated_run_ledger(tmp_path, monkeypatch):
     """Point the run ledger at a per-test directory.
 
-    Training and bench calls append run records as a side effect; without
+    Training calls append run records as a side effect; without
     this, running the suite would grow a ``.repro_runs/`` ledger in the
     repository root and tests could observe each other's runs.
     """

@@ -9,8 +9,10 @@ Three contracts pin the compute-performance layer:
   users, double-release fails loudly, and nothing that escapes a fused
   pass (outputs, parameter gradients) sits in an arena free list;
 * **Flat steady state** — after the first planning pass, training holds
-  the arena's fresh-allocation count constant across epochs, and
-  ``Tensor.backward(free=True)`` feeds the gradient pool.
+  the arena's fresh-allocation count constant across epochs,
+  ``Tensor.backward(free=True)`` feeds the gradient pool, and a warm
+  fused forward+backward step calls fewer numpy buffer constructors
+  than the naive tape at every dtype.
 
 Plus the dtype axis (float32 parameters/outputs under ``use_dtype``,
 naive==fused within :func:`repro.nn.contract_tol`) and the thread axis
@@ -190,7 +192,62 @@ class TestPlannedVsUnplanned:
                     assert id(p.grad) not in pooled_ids, name
 
 
+_ALLOC_FNS = ("empty", "zeros", "ones", "full", "empty_like",
+              "zeros_like", "ones_like", "concatenate", "copy", "stack")
+
+
+def _count_allocations(fn):
+    """Run ``fn()`` counting numpy buffer-constructor calls.
+
+    Counts the module-level constructors the tape and kernels allocate
+    through, i.e. exactly the traffic arena planning and the gradient
+    pool recycle away; ufunc temporaries below the numpy C layer are
+    not visible here and not counted.
+    """
+    count = 0
+    saved = {name: getattr(np, name) for name in _ALLOC_FNS}
+
+    def counting(orig):
+        def inner(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return orig(*args, **kwargs)
+        return inner
+
+    for name, orig in saved.items():
+        setattr(np, name, counting(orig))
+    try:
+        fn()
+    finally:
+        for name, orig in saved.items():
+            setattr(np, name, orig)
+    return count
+
+
 class TestSteadyStateAllocations:
+    def test_fused_step_allocates_less_than_naive(self, hetero):
+        """One warm forward+backward step: fused at each dtype must call
+        fewer numpy buffer constructors than the naive float64 tape."""
+        cfg = ModelConfig.benchmark()
+        allocs = {}
+        for backend, dtype in (("naive", "float64"), ("fused", "float64"),
+                               ("fused", "float32")):
+            with nn.use_kernels(backend), nn.use_dtype(dtype):
+                model = TimingGNN(cfg, rng=np.random.default_rng(cfg.seed))
+
+                def step():
+                    pred = model(hetero)
+                    loss, _parts = combined_loss(pred, hetero)
+                    model.zero_grad()
+                    loss.backward(free=True)
+
+                step()
+                step()
+                allocs[backend, dtype] = _count_allocations(step)
+        naive = allocs["naive", "float64"]
+        for dtype in ("float64", "float32"):
+            assert allocs["fused", dtype] < naive, allocs
+
     def test_training_allocation_count_flat_across_epochs(self, hetero,
                                                           cfg):
         with nn.use_kernels("fused"), nn.use_dtype("float64"), \

@@ -480,6 +480,51 @@ class TestServiceDelta:
         assert "repro_delta_dirty_nodes" in text
 
 
+class TestDeltaSpeedup:
+    def test_single_edit_delta_beats_rebuild_and_forward(self, service,
+                                                         toy_model):
+        """The ECO iteration ``/predict/delta`` replaces: after a cell
+        move, re-route, full STA, re-extraction and a whole-graph
+        forward.  The median single-edit delta request must be faster
+        than the median of that conventional iteration."""
+        body = {"design": DESIGN, "model": "toy", "no_cache": True}
+        session = service.delta_session(DESIGN)
+        patcher = session.patcher
+        cells = patcher.design.combinational_cells
+        die = patcher.placement.die
+        rng = np.random.default_rng(0)
+
+        def move_edit():
+            cell = cells[int(rng.integers(len(cells)))]
+            return {"op": "move_cell", "cell": cell.name,
+                    "x": float(rng.uniform(0, die.width)),
+                    "y": float(rng.uniform(0, die.height))}
+
+        # Each conventional iteration applies its edit untimed, then
+        # times everything a service without the delta path redoes.
+        full_ms = []
+        with session.lock:
+            for _ in range(4):
+                session.apply(parse_edits([move_edit()]))
+                start = time.perf_counter()
+                hetero = full_reextract(patcher)
+                with nn.no_grad():
+                    toy_model.predict(hetero)
+                full_ms.append((time.perf_counter() - start) * 1000.0)
+
+        # The first delta request catches up on the edits above; leave it
+        # untimed so the loop times steady-state single-edit cones.
+        service.predict_delta(dict(body, edits=[]))
+        delta_ms = []
+        for _ in range(16):
+            start = time.perf_counter()
+            service.predict_delta(dict(body, edits=[move_edit()]))
+            delta_ms.append((time.perf_counter() - start) * 1000.0)
+
+        full, delta = float(np.median(full_ms)), float(np.median(delta_ms))
+        assert full / delta > 1, (full_ms, delta_ms)
+
+
 class TestPayloadCacheVersioning:
     def test_cache_respects_graph_version(self, service):
         """Regression: cached payloads are keyed by graph version, so an

@@ -1,8 +1,7 @@
 """Observability semantics: metrics under concurrency, histogram
 quantile accuracy and sketches, span nesting/export and trace-record
 streaming, structured logging, the latency SLO window, the ``repro top``
-frame renderer, the Prometheus ``/metrics`` endpoint and the loadgen
-benchmark artefact."""
+frame renderer and the Prometheus ``/metrics`` endpoint."""
 
 from __future__ import annotations
 
@@ -648,26 +647,3 @@ class TestMetricsEndpoint:
         assert get_registry().get("repro_flow_stage_ms",
                                   stage="place") is not None
         assert 'repro_flow_stage_ms_count{stage="place"}' in text
-
-
-# -- loadgen benchmark artefact ------------------------------------------------
-class TestBenchJson:
-    def test_write_bench_json_well_formed(self, tmp_path):
-        from repro.serving.loadgen import LoadgenResult, write_bench_json
-
-        result = LoadgenResult(
-            clients=2, requests=10, ok=10, errors=0, incorrect=0,
-            degraded=0, cache_hits=5, warmup_requests=2, duration_s=1.5,
-            throughput_rps=6.6667, latency_p50_ms=3.2,
-            latency_p99_ms=9.9, latency_mean_ms=4.0,
-            server_stats={"counts": {"requests": 10}})
-        path = tmp_path / "BENCH_serving.json"
-        write_bench_json(result, path, params={"clients": 2})
-        payload = json.loads(path.read_text())
-        assert payload["benchmark"] == "serving"
-        assert payload["schema_version"] == 1
-        assert payload["requests"] == 10
-        assert payload["warmup_requests"] == 2
-        assert payload["throughput_rps"] == pytest.approx(6.6667)
-        assert payload["params"]["clients"] == 2
-        assert payload["server_stats"]["counts"]["requests"] == 10

@@ -441,6 +441,7 @@ class TestOnlineOfflineDifferential:
             assert stats["quality"]["enabled"]
             assert stats["quality"]["samples"] == 1
             assert stats["quality"]["slack_mae_ps"] is not None
+            assert math.isfinite(stats["quality"]["slack_mae_ps"])
             health = service.healthz()
             assert health["quality"]["samples"] == 1
         finally:

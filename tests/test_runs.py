@@ -1,24 +1,20 @@
-"""Run ledger, bench regression gating, tape profiler and HTML report.
+"""Run ledger, ``repro train`` run reporting, tape profiler and HTML report.
 
 The ledger tests prove the durability contract (atomic appends, corrupt
-line tolerance, schema stamping); the diff tests prove the regression
-gate direction and tolerance semantics on synthetic payloads; the
-profiler tests prove patch/unpatch hygiene and that per-op self time
-adds up to the real step cost; the report tests prove the stdlib HTML
-rendering consumes real ledger records.
+line tolerance, schema stamping); the profiler tests prove patch/unpatch
+hygiene and that per-op self time adds up to the real step cost; the
+report tests prove the stdlib HTML rendering consumes real ledger
+records.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from repro.bench import (bench_fingerprint, check_bench_file,
-                         diff_payloads, find_baseline,
-                         format_diff_report, record_bench_payload)
 from repro.obs import (RunLedger, config_fingerprint, default_ledger,
                        new_run_id, profile, record_run)
 from repro.obs.profile import format_profile_table, profile_train_step
@@ -101,130 +97,6 @@ class TestRunLedger:
         assert len(ids) == 64
 
 
-# -- bench diff gate -----------------------------------------------------------
-def _compute_payload(train_step_ms, run_id=None, forward_ms=10.0):
-    return {
-        "benchmark": "compute", "schema_version": 1,
-        "run_id": run_id or new_run_id("bench_compute"),
-        "generated_at": "2026-01-01T00:00:00Z",
-        "params": {"scale": 1.0},
-        "backends": ["naive", "fused"], "stages": ["forward", "train_step"],
-        "designs": [{"name": "aes256",
-                     "times_ms": {"fused": {"forward": forward_ms,
-                                            "train_step": train_step_ms}}}],
-        "summary": {"speedup_train_step_geomean": 1.5},
-    }
-
-
-def _serving_payload(rps, p99=20.0, run_id=None):
-    return {
-        "benchmark": "serving", "schema_version": 1,
-        "run_id": run_id or new_run_id("bench_serving"),
-        "generated_at": "2026-01-01T00:00:00Z",
-        "params": {"designs": ["spm"], "model": "timing-full",
-                   "scale": 1.0, "batch_window_ms": 2.0, "max_batch": 16},
-        "clients": 8, "throughput_rps": rps,
-        "latency_p50_ms": 5.0, "latency_p99_ms": p99,
-    }
-
-
-class TestBenchDiff:
-    def test_identical_payloads_pass(self):
-        base = _compute_payload(100.0)
-        cur = _compute_payload(100.0)
-        deltas = diff_payloads(cur, base, tolerance=0.5)
-        assert len(deltas) == 2
-        assert not any(d.regressed for d in deltas)
-
-    def test_time_regression_fires_past_tolerance_only(self):
-        base = _compute_payload(100.0)
-        within = diff_payloads(_compute_payload(149.0), base, tolerance=0.5)
-        assert not any(d.regressed for d in within)
-        past = diff_payloads(_compute_payload(151.0), base, tolerance=0.5)
-        bad = [d for d in past if d.regressed]
-        assert [d.metric for d in bad] == ["aes256/fused/train_step_ms"]
-        assert bad[0].ratio == pytest.approx(1.51)
-
-    def test_faster_is_never_a_regression(self):
-        base = _compute_payload(100.0)
-        deltas = diff_payloads(_compute_payload(1.0), base, tolerance=0.5)
-        assert not any(d.regressed for d in deltas)
-        assert any(d.improved for d in deltas)
-
-    def test_serving_throughput_direction_is_inverted(self):
-        base = _serving_payload(100.0)
-        drop = diff_payloads(_serving_payload(49.0), base, tolerance=0.5)
-        assert [d.metric for d in drop if d.regressed] == ["throughput_rps"]
-        rise = diff_payloads(_serving_payload(500.0, p99=200.0), base,
-                             tolerance=0.5)
-        assert [d.metric for d in rise if d.regressed] == ["latency_p99_ms"]
-
-    def test_fingerprint_ignores_timings_but_not_shape(self):
-        assert bench_fingerprint(_compute_payload(100.0)) == \
-            bench_fingerprint(_compute_payload(999.0))
-        other = _compute_payload(100.0)
-        other["designs"][0]["name"] = "spm"
-        assert bench_fingerprint(other) != \
-            bench_fingerprint(_compute_payload(100.0))
-
-    def test_baseline_excludes_own_run_id(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs"))
-        payload = _compute_payload(100.0)
-        record_bench_payload(payload, ledger)
-        # only its own record in the ledger -> no baseline to gate on
-        assert find_baseline(payload, ledger) is None
-        newer = _compute_payload(120.0)
-        assert find_baseline(newer, ledger)["run_id"] == payload["run_id"]
-
-    def test_record_is_idempotent_per_run_id(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs"))
-        payload = _compute_payload(100.0)
-        record_bench_payload(payload, ledger)
-        record_bench_payload(payload, ledger)
-        assert len(ledger.read(kind="bench")) == 1
-
-    def test_check_bench_file_gate(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs"))
-        path = str(tmp_path / "BENCH_compute.json")
-        assert check_bench_file(path, ledger)[0] == "missing"
-        with open(path, "w") as fh:
-            json.dump(_compute_payload(100.0), fh)
-        status, _deltas = check_bench_file(path, ledger, record=True)
-        assert status == "no-baseline"
-        # identical re-run under a new run id: ok
-        with open(path, "w") as fh:
-            json.dump(_compute_payload(100.0), fh)
-        status, deltas = check_bench_file(path, ledger, tolerance=0.5)
-        assert status == "ok" and len(deltas) == 2
-        # artificially slowed past the threshold: regression
-        with open(path, "w") as fh:
-            json.dump(_compute_payload(200.0), fh)
-        status, deltas = check_bench_file(path, ledger, tolerance=0.5)
-        assert status == "regression"
-        report = format_diff_report(path, status, deltas)
-        assert "REGRESSION" in report and "train_step" in report
-
-    def test_bench_writers_record_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
-        from repro.bench.compute import (ComputeBenchResult, DesignBench,
-                                         write_compute_bench_json)
-
-        row = DesignBench(name="unit", nodes=10, net_edges=5,
-                          cell_edges=5, levels=3)
-        row.times_ms = {"fused": {"float64": {"forward": 1.0}}}
-        result = ComputeBenchResult(backends=["fused"],
-                                    dtypes=["float64"], stages=["forward"],
-                                    reps=1, warmup=0, designs=[row],
-                                    summary={})
-        path = str(tmp_path / "BENCH_compute.json")
-        write_compute_bench_json(result, path, params={"scale": 1.0})
-        payload = json.load(open(path))
-        assert payload["run_id"].startswith("bench_compute-")
-        recorded = default_ledger().read(kind="bench_compute")
-        assert [r["run_id"] for r in recorded] == [payload["run_id"]]
-        assert recorded[0]["payload"]["designs"][0]["name"] == "unit"
-
-
 # -- trainer ledger integration ------------------------------------------------
 class TestTrainingRuns:
     def test_train_records_run_with_losses_and_eval(self, hetero_pair):
@@ -272,6 +144,38 @@ class TestTrainingRuns:
         assert len(records) == 2
         assert records[0]["fingerprint"] == records[1]["fingerprint"]
         assert records[0]["run_id"] != records[1]["run_id"]
+
+    def test_cli_train_reports_only_its_own_run(self, hetero_pair,
+                                                monkeypatch, tmp_path,
+                                                capsys):
+        """A second ``repro train`` served from the checkpoint cache
+        trains nothing, so it must not report the first call's run."""
+        import types
+
+        import repro.experiments.common as common
+        from repro.cli import main
+        from repro.netlist import benchmark_names
+
+        records = {name: types.SimpleNamespace(graph=hetero_pair[i % 2])
+                   for i, name in enumerate(benchmark_names())}
+        monkeypatch.setattr(common, "load_dataset", lambda **_kw: records)
+        monkeypatch.setattr(common, "_DATASETS", {})
+        monkeypatch.setattr(common, "_MODELS", {})
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["train", "--scale", "0.1", "--epochs", "1"]
+
+        assert main(argv) == 0
+        runs = default_ledger().read(kind="train")
+        assert len(runs) == 1
+        assert f"run recorded: {runs[0]['run_id']}" in \
+            capsys.readouterr().out
+
+        common._MODELS.clear()   # as a new process: the checkpoint serves
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(default_ledger().read(kind="train")) == 1
+        assert "run recorded:" not in out
+        assert "no new run recorded" in out
 
 
 # -- tape profiler -------------------------------------------------------------
@@ -374,22 +278,26 @@ class TestHtmlReport:
             "slack_scatter": {"design": "spm", "unit": "ns",
                               "true": [0.1, 0.5, -0.2],
                               "pred": [0.12, 0.44, -0.3]}})
-        record_bench_payload(_compute_payload(100.0), ledger)
-        record_bench_payload(_serving_payload(80.0), ledger)
         return ledger
 
     def test_report_renders_all_sections(self, tmp_path):
         page = render_html_report(ledger=self._seed_ledger(tmp_path))
         for probe in ("per-epoch training loss", "Per-design R²",
-                      "Bench trajectory", "Figure 4", "<svg",
-                      "polyline", "train_timing-", "throughput"):
+                      "Figure 4", "<svg", "polyline", "train_timing-"):
             assert probe in page
         assert page.startswith("<!doctype html>")
 
     def test_report_on_empty_ledger_is_valid(self, tmp_path):
+        from repro.cli import build_parser
+
         page = render_html_report(ledger=RunLedger(str(tmp_path / "empty")))
         assert "no training runs recorded" in page
-        assert "no bench runs recorded" in page
+        # The hint for missing endpoint metrics names a command the CLI
+        # accepts.
+        hint = re.search(r"no endpoint-evaluated training runs.*?"
+                         r"<code>repro ([^<]*)</code>", page)
+        assert hint is not None
+        build_parser().parse_args(hint.group(1).split())
 
     def test_write_html_report(self, tmp_path):
         from repro.obs import write_html_report

@@ -1,6 +1,6 @@
 """Serving-layer semantics: batching equivalence, concurrency, caches,
-deadlines, degradation, request validation, the HTTP front-end, the
-load generator and ``repro serve`` shutdown.
+deadlines, degradation, request validation, the HTTP front-end under
+concurrent clients and ``repro serve`` shutdown.
 
 Models here are deliberately *untrained* (random initialization): every
 serving property under test — numerical equivalence of micro-batched
@@ -29,7 +29,7 @@ from repro.flow import Flow
 from repro.graphdata import batch_graphs, split_rows
 from repro.models import ModelConfig, NetEmbedding, TimingGNN
 from repro.serving import (LRUCache, ModelRegistry, PredictionService,
-                           RequestError, ServingServer, run_loadgen)
+                           RequestError, ServingServer)
 from repro.serving.registry import ModelEntry, ModelLoadError
 
 SCALE = 0.15
@@ -403,22 +403,47 @@ class TestHTTPServer:
         assert status == 404
 
 
-class TestLoadgen:
-    def test_loadgen_zero_incorrect_and_cache_hits(self, toy_model):
+class TestConcurrentClients:
+    def test_eight_clients_answered_correctly_and_batched(self, toy_model):
+        """8 clients x 8 ``no_cache`` requests over HTTP: every answer is
+        a 200 for the client's own design and not degraded, and the
+        micro-batcher coalesced concurrent forwards (``batch_max > 1``)."""
+        designs = DESIGNS[:2]
+        clients, per_client = 8, 8
         svc = PredictionService(registry=_toy_registry(toy_model),
                                 scale=SCALE)
-        svc.warm(models=["toy"], designs=DESIGNS[:2])
+        svc.warm(models=["toy"], designs=designs)
+        start = threading.Barrier(clients)
+        answers = []
+
+        def client(i, url):
+            start.wait()
+            for k in range(per_client):
+                design = designs[(i + k) % len(designs)]
+                try:
+                    status, body = _post(url + "/predict",
+                                         {"design": design, "model": "toy",
+                                          "no_cache": True})
+                except OSError as exc:
+                    status, body = None, {"error": repr(exc)}
+                answers.append((design, status, body))
+
         with ServingServer(svc) as server:
-            result = run_loadgen(server.url, DESIGNS[:2], clients=8,
-                                 requests_per_client=7, model="toy")
-        assert result.clients == 8
-        assert result.requests == 56
-        assert result.ok == 56
-        assert result.errors == 0 and result.incorrect == 0
-        # default warmup: one untimed request per design, before timing.
-        assert result.warmup_requests == 2
-        assert result.throughput_rps > 0
-        assert result.server_stats["result_cache"]["hit_rate"] > 0
+            threads = [threading.Thread(target=client, args=(i, server.url),
+                                        daemon=True)
+                       for i in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            stats = svc.stats()
+        assert len(answers) == clients * per_client
+        bad = [(design, status, body) for design, status, body in answers
+               if status != 200 or body.get("design") != design
+               or body.get("degraded") or not body.get("prediction")]
+        assert not bad, bad[:3]
+        assert stats["batch_max"] > 1, stats["batching"]
 
 
 # -- `repro serve` graceful shutdown -------------------------------------------
