@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 suite (twice: serial + parallel workers), a
-# naive-backend kernel differential pass (including the delta-prediction
-# differential harness), float32 and threaded reruns, the benchmark
-# smoke suite under perf/, the coverage floors (repro.parallel, repro.nn,
-# repro.obs, repro.serving, repro.sta, repro.graphdata), then the smoke
-# stage: the serving, observability, delta and quality suites, and the
-# kernel speedup gate (benchmarks/test_kernel_speedup.py: fused
+# CI entry point: tier-1 suite (twice: serial + parallel workers), the
+# benchmark smoke suite under perf/, the coverage floors (repro.parallel,
+# repro.nn, repro.obs, repro.serving, repro.sta, repro.graphdata), then
+# the smoke stage: the serving, observability, delta and quality suites,
+# and the kernel speedup gate (benchmarks/test_kernel_speedup.py: fused
 # forward+backward >= 2.5x naive on aes256 at scale 0.75).
 #
-#   scripts/ci.sh         # full tier-1 x2 + differential + floors + smoke
+#   scripts/ci.sh         # full tier-1 x2 + floors + smoke
 #   scripts/ci.sh smoke   # smoke only (deselects @slow experiment tests)
+#
+# No stage reruns the suite under a numeric environment switch: tier-1
+# checks every differential contract (fused == naive, arena == unplanned,
+# incremental == full) in every {kernel backend, dtype, arena} cell
+# (tests/test_contracts.py), and collects the kernel, model, arena and
+# delta suites again on the naive backend and at float32
+# (tests/test_naive_cell.py, tests/test_float32_cell.py).
 #
 # perf/ is the benchmark (see BENCHMARK.json).  The other performance
 # gates are tier-1 tests: concurrent requests coalesce into batches
@@ -48,38 +53,6 @@ assert "test_rebuild_matches_fixture_bit_for_bit" in out.stdout, \
     "golden comparator tests not collected"
 print("golden comparator collected ok")
 EOF
-
-    echo "== fused/naive kernel differential (REPRO_KERNELS=naive) =="
-    # The suite above ran with the default fused backend; re-run the
-    # autograd/module/model subset with the naive composed-op backend as
-    # the process default, so both code paths are proven green and the
-    # fused==naive differential tests exercise backend switching in each
-    # direction.
-    REPRO_KERNELS=naive python -m pytest -x -q \
-        tests/test_nn_autograd.py tests/test_nn_modules.py \
-        tests/test_models.py \
-        "tests/test_delta.py::TestEditDifferential"
-
-    echo "== kernel suite under float32 and threaded execution =="
-    # The compute-performance axes must each hold the fused==naive
-    # contract: float32 training dtype (dtype-aware tolerances), the
-    # serial thread budget, and a 4-thread budget with the engagement
-    # threshold forced to 1 row so the chunked matmul/segment paths
-    # actually run on test-sized inputs.
-    # The delta differential and the edit-sequence property join the
-    # float32 and 4-thread runs: the incremental refresh shares the
-    # propagation steps, so it must hold incremental == full forward on
-    # both axes too.
-    REPRO_DTYPE=float32 python -m pytest -x -q \
-        tests/test_nn_autograd.py tests/test_arena.py \
-        "tests/test_delta.py::TestEditDifferential" \
-        "tests/test_delta.py::TestDeltaSequenceProperty"
-    REPRO_COMPUTE_THREADS=1 python -m pytest -x -q \
-        tests/test_nn_autograd.py tests/test_arena.py
-    REPRO_COMPUTE_THREADS=4 REPRO_COMPUTE_MIN_ROWS=1 python -m pytest -x -q \
-        tests/test_nn_autograd.py tests/test_arena.py \
-        "tests/test_delta.py::TestEditDifferential" \
-        "tests/test_delta.py::TestDeltaSequenceProperty"
 
     echo "== benchmark smoke suite (perf/) =="
     # perf/spans.py wraps program entry points by name (for example

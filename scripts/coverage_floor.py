@@ -13,8 +13,9 @@ Covered packages (each with its own test files and an 80% floor):
 * ``src/repro/parallel`` — the process executor and the artifact
   store, driven by tests/test_parallel.py;
 * ``src/repro/nn`` — the autograd engine and the fused kernel layer,
-  driven by the autograd/module suites plus the model differential
-  tests (which push the fused propagation path end to end);
+  driven by the autograd/module suites, the model tests and the
+  contract matrix (tests/test_contracts.py, which pushes the fused
+  propagation path end to end in every backend, dtype and arena cell);
 * ``src/repro/obs`` — metrics/tracing/logging plus the run ledger,
   tape profiler, HTML report and ``repro top`` frame, the latency SLO
   and the shadow-audit quality monitor, driven by tests/test_obs.py,
@@ -59,7 +60,8 @@ TARGETS = {
     "nn": {
         "dir": os.path.join(REPO, "src", "repro", "nn"),
         "tests": _t("test_nn_autograd.py", "test_nn_modules.py",
-                    "test_models.py", "test_training.py"),
+                    "test_models.py", "test_training.py",
+                    "test_contracts.py"),
     },
     "obs": {
         "dir": os.path.join(REPO, "src", "repro", "obs"),

@@ -9,12 +9,9 @@ from .tensor import Tensor, no_grad, is_grad_enabled
 from . import kernels
 from .kernels import (SegmentSchedule, affine_act, kernel_backend,
                       mlp_chain, use_kernels)
-from .dtype import (DTYPES, active_dtype, contract_tol, set_default_dtype,
-                    use_dtype)
+from .dtype import DTYPES, active_dtype, contract_tol, use_dtype
 from .arena import (TapeArena, arena_enabled, use_arena, grad_pool_stats,
                     clear_grad_pool)
-from .threads import (thread_count, min_parallel_rows, use_threads,
-                      parallel_enabled)
 from .ops import (
     concat,
     stack,
@@ -42,11 +39,9 @@ __all__ = [
     "Tensor", "no_grad", "is_grad_enabled",
     "kernels", "SegmentSchedule", "affine_act", "kernel_backend",
     "mlp_chain", "use_kernels",
-    "DTYPES", "active_dtype", "contract_tol", "set_default_dtype",
-    "use_dtype",
+    "DTYPES", "active_dtype", "contract_tol", "use_dtype",
     "TapeArena", "arena_enabled", "use_arena", "grad_pool_stats",
     "clear_grad_pool",
-    "thread_count", "min_parallel_rows", "use_threads", "parallel_enabled",
     "concat", "stack", "gather_rows", "gather_concat", "gather_add",
     "scatter_rows", "segment_sum", "segment_max", "segment_minmax",
     "segment_minmax_gate", "segment_mean", "batched_outer",

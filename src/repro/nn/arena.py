@@ -47,7 +47,6 @@ across epochs.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 
@@ -55,10 +54,6 @@ import numpy as np
 
 __all__ = ["TapeArena", "arena_enabled", "use_arena", "grad_buffer",
            "give_grad", "grad_pool_stats", "clear_grad_pool"]
-
-
-_DEFAULT_ENABLED = os.environ.get("REPRO_ARENA", "1").strip() not in (
-    "0", "false", "off")
 
 
 class _ArenaState(threading.local):
@@ -72,8 +67,9 @@ _STATE = _ArenaState()
 
 
 def arena_enabled():
-    """True when fused execution should lease graph arenas."""
-    return _STATE.stack[-1] if _STATE.stack else _DEFAULT_ENABLED
+    """True when fused execution should lease graph arenas (the
+    default; :class:`use_arena` scopes an override)."""
+    return _STATE.stack[-1] if _STATE.stack else True
 
 
 class use_arena:

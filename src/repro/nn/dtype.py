@@ -12,9 +12,8 @@ Everything numerical in the reproduction falls into two regimes:
   the BLAS-bound MLP chains and half the tape memory traffic.
 
 The active dtype is resolved per thread: ``REPRO_DTYPE`` sets the
-process default, :class:`use_dtype` overrides it for a scope (the same
-shape as :class:`repro.nn.kernels.use_kernels`), and
-:func:`set_default_dtype` changes the process default at runtime.  The
+process default and :class:`use_dtype` overrides it for a scope (the
+same shape as :class:`repro.nn.kernels.use_kernels`).  The
 fused-vs-naive differential tolerance is dtype-aware
 (:func:`contract_tol`): 1e-9 relative at fp64, 1e-4 relative at fp32.
 """
@@ -26,8 +25,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["DTYPES", "active_dtype", "set_default_dtype", "use_dtype",
-           "contract_tol"]
+__all__ = ["DTYPES", "active_dtype", "use_dtype", "contract_tol"]
 
 #: Names accepted by REPRO_DTYPE / use_dtype.
 DTYPES = ("float32", "float64")
@@ -59,12 +57,6 @@ _STATE = _DtypeState()
 def active_dtype():
     """The dtype new tensors and kernel buffers are created with."""
     return _STATE.stack[-1] if _STATE.stack else _DEFAULT
-
-
-def set_default_dtype(name):
-    """Set the process-wide default dtype (overrides REPRO_DTYPE)."""
-    global _DEFAULT
-    _DEFAULT = _resolve(name)
 
 
 class use_dtype:

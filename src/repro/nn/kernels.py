@@ -1,4 +1,4 @@
-"""Fused autograd kernels and the ``REPRO_KERNELS`` backend switch.
+"""Fused autograd kernels and the naive reference backend.
 
 The tape in :mod:`repro.nn.tensor` records one closure per primitive op,
 which is correct but leaves easy performance on the table for the
@@ -20,11 +20,11 @@ patterns the timing models execute millions of times per training run:
   aggregation gate; the naive path runs ``segment_max`` twice with a
   negation).
 
-Backend selection: the environment variable ``REPRO_KERNELS`` picks the
-process default (``fused``, the default, or ``naive``); the
-:class:`use_kernels` context manager overrides it per thread so the two
-implementations can be differentially tested in one process
-(``tests/test_nn_autograd.py``).  The numerical contract is *fused ==
+Backend selection: every process runs ``fused``.  The composed-op
+``naive`` backend is the differential reference: the
+:class:`use_kernels` context manager selects it per thread, so the two
+implementations can be compared in one process
+(``tests/test_contracts.py``).  The numerical contract is *fused ==
 naive* to tight tolerance on forward values and gradients — the only
 differences are floating-point summation order inside segment/scatter
 reductions.
@@ -32,17 +32,15 @@ reductions.
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
 
-from . import threads as _threads
 from .arena import NULL_ARENA
 from .tensor import Tensor
 
 __all__ = ["BACKENDS", "backend", "kernel_backend", "is_fused",
-           "use_kernels", "set_default_backend", "SegmentSchedule",
+           "use_kernels", "SegmentSchedule",
            "affine_act", "mlp_chain", "mlp_chain_forward_raw",
            "mlp_chain_backward_raw", "gather_concat", "gather_concat_raw",
            "gather_rows_csr",
@@ -55,7 +53,7 @@ __all__ = ["BACKENDS", "backend", "kernel_backend", "is_fused",
 
 BACKENDS = ("fused", "naive")
 
-_DEFAULT = os.environ.get("REPRO_KERNELS", "fused").strip().lower() or "fused"
+_DEFAULT = "fused"
 
 
 class _BackendState(threading.local):
@@ -70,12 +68,7 @@ _STATE = _BackendState()
 
 def backend():
     """The active kernel backend name: ``"fused"`` or ``"naive"``."""
-    name = _STATE.stack[-1] if _STATE.stack else _DEFAULT
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r} (REPRO_KERNELS must be one "
-            f"of {BACKENDS})")
-    return name
+    return _STATE.stack[-1] if _STATE.stack else _DEFAULT
 
 
 #: Public alias — ``nn.kernel_backend()`` reads better at call sites.
@@ -84,14 +77,6 @@ kernel_backend = backend
 
 def is_fused():
     return backend() == "fused"
-
-
-def set_default_backend(name):
-    """Set the process-wide default backend (overrides REPRO_KERNELS)."""
-    if name not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    global _DEFAULT
-    _DEFAULT = name
 
 
 class use_kernels:
@@ -148,6 +133,20 @@ def _schedule_for(segment_ids, schedule):
     return schedule
 
 
+def _segment_reduce(ufunc, data, sched, out, alloc):
+    """Per-segment ``ufunc`` reduction of ``data`` into ``out``.
+
+    Gathers ``data`` into the schedule's sorted order (scratch from
+    ``alloc``), then reduces each present segment with one ``reduceat``
+    sweep; ``out`` gets one row per present segment.
+    """
+    tmp = alloc.take((len(sched.order),) + data.shape[1:], data.dtype)
+    data.take(sched.order, axis=0, out=tmp)
+    ufunc.reduceat(tmp, sched.starts, axis=0, out=out)
+    alloc.release(tmp)
+    return out
+
+
 def scatter_add_rows(out, index, values, schedule=None, alloc=None):
     """``out[index] += values`` with duplicate indices, CSR-accelerated.
 
@@ -161,8 +160,7 @@ def scatter_add_rows(out, index, values, schedule=None, alloc=None):
         alloc = NULL_ARENA if alloc is None else alloc
         reduced = alloc.take((len(schedule.starts),) + values.shape[1:],
                              values.dtype)
-        _threads.segment_reduce(np.add, values, schedule.order,
-                                schedule.starts, out=reduced, alloc=alloc)
+        _segment_reduce(np.add, values, schedule, reduced, alloc)
         # out[present] += reduced without the fancy-index temporary.
         tmp = alloc.take(reduced.shape, out.dtype)
         out.take(schedule.present, axis=0, out=tmp)
@@ -189,7 +187,7 @@ def affine_act(x, weight, bias=None, activation=None):
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     a, w = x, weight
-    z = _threads.matmul(a.data, w.data)
+    z = np.matmul(a.data, w.data)
     if bias is not None:
         z += bias.data
     if activation == "relu":
@@ -207,9 +205,9 @@ def affine_act(x, weight, bias=None, activation=None):
         else:
             gz = g
         if a.requires_grad:
-            a._accumulate(_threads.matmul(gz, w.data.T), own=True)
+            a._accumulate(np.matmul(gz, w.data.T), own=True)
         if w.requires_grad:
-            w._accumulate(_threads.matmul(a.data.T, gz), own=True)
+            w._accumulate(np.matmul(a.data.T, gz), own=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(gz.sum(axis=0), own=True)
 
@@ -307,7 +305,7 @@ def mlp_chain_forward_raw(h, steps, out_act=None, save=True, alloc=None):
         if save:
             inputs.append(h)
         z = alloc.take((rows, w.data.shape[1]), dt)
-        _threads.matmul(h, w.data, out=z)
+        np.matmul(h, w.data, out=z)
         if b is not None:
             z += b.data
         if owned is not None:
@@ -365,10 +363,10 @@ def mlp_chain_backward_raw(g, steps, saved, out_act=None, alloc=None):
         # level), later contributions add through arena scratch.
         if w.requires_grad:
             if w.grad is None:
-                w._accumulate(_threads.matmul(inp.T, gz), own=True)
+                w._accumulate(np.matmul(inp.T, gz), own=True)
             else:
                 tmp = alloc.take(w.data.shape, dt)
-                _threads.matmul(inp.T, gz, out=tmp)
+                np.matmul(inp.T, gz, out=tmp)
                 w.grad += tmp
                 alloc.release(tmp)
         if b is not None and b.requires_grad:
@@ -380,7 +378,7 @@ def mlp_chain_backward_raw(g, steps, saved, out_act=None, alloc=None):
                 b.grad += tmp
                 alloc.release(tmp)
         g = alloc.take((rows, w.data.shape[0]), dt)
-        _threads.matmul(gz, w.data.T, out=g)
+        np.matmul(gz, w.data.T, out=g)
         if gz_owned is not None:
             alloc.release(gz_owned)
         owned = g
@@ -540,8 +538,7 @@ def segment_extrema_raw(data, sched, num_segments, ufunc, alloc=None):
     if len(sched.starts):
         reduced = alloc.take((len(sched.starts),) + data.shape[1:],
                              data.dtype)
-        _threads.segment_reduce(ufunc, data, sched.order, sched.starts,
-                                out=reduced, alloc=alloc)
+        _segment_reduce(ufunc, data, sched, reduced, alloc)
         out[sched.present] = reduced
         alloc.release(reduced)
     return out

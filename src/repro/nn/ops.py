@@ -8,8 +8,8 @@ sparse-dense matmul for the GCNII baseline.
 
 Each segment/gather op dispatches on the active kernel backend (see
 :mod:`repro.nn.kernels`): the default ``fused`` backend uses sorted-CSR
-``reduceat`` kernels and fused tape nodes, while ``REPRO_KERNELS=naive``
-keeps the reference ``np.add.at`` / ``np.maximum.at`` implementations
+``reduceat`` kernels and fused tape nodes, while ``use_kernels("naive")``
+selects the reference ``np.add.at`` / ``np.maximum.at`` implementations
 below, preserved verbatim for differential testing.
 """
 

@@ -462,8 +462,11 @@ class QualityMonitor:
 
     # -- request-path entry point ------------------------------------------------
     def maybe_audit(self, graph, arrival, *, design=None, model=None,
-                    request_id=None, profile=None):
+                    model_version=None, request_id=None, profile=None):
         """Sample this served prediction for auditing; never blocks.
+
+        ``model_version`` is the registry version that served it, so an
+        audit record traces accuracy to the exact checkpoint.
 
         ``arrival`` is copied immediately: served outputs may live in
         arena-recycled buffers that a later forward overwrites, so a
@@ -478,7 +481,7 @@ class QualityMonitor:
             return False
         item = (graph, np.array(arrival, dtype=np.float64, copy=True),
                 design or getattr(graph, "name", "?"), model,
-                request_id, profile, time.time())
+                model_version, request_id, profile, time.time())
         try:
             self._queue.put_nowait(item)
         except queue.Full:
@@ -530,7 +533,8 @@ class QualityMonitor:
                     self._pending -= 1
 
     def _process(self, item):
-        graph, arrival, design, model, request_id, profile, served_ts = item
+        (graph, arrival, design, model, model_version, request_id, profile,
+         served_ts) = item
         # Lazy: training.evaluate imports back into obs (ledger).
         from ..training.evaluate import endpoint_metrics_for
         metrics = endpoint_metrics_for(graph, arrival)
@@ -561,6 +565,7 @@ class QualityMonitor:
                              threshold=self.threshold)
 
         summary = {"design": design, "model": model,
+                   "model_version": model_version,
                    "request_id": request_id,
                    "slack_mae_ps": None if not np.isfinite(mae_ps)
                    else round(float(mae_ps), 6),

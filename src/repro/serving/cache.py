@@ -88,7 +88,8 @@ class LRUCache:
         """Return the cached value, building it with ``factory()`` on miss.
 
         Returns ``(value, hit)``.  Concurrent misses on the same key run
-        the factory exactly once.
+        the factory exactly once.  A factory that raises caches nothing
+        and leaves no per-key lock behind; the next miss runs it again.
         """
         with self._lock:
             value = self._data.get(key, _MISSING)
@@ -100,18 +101,23 @@ class LRUCache:
             if key_lock is None:
                 key_lock = self._key_locks[key] = threading.Lock()
         with key_lock:
-            with self._lock:
-                value = self._data.get(key, _MISSING)
-                if value is not _MISSING:
-                    self._data.move_to_end(key)
-                    self._hits.inc()
-                    return value, True
-                self._misses.inc()
-            value = factory()
-            self.put(key, value)
-            with self._lock:
-                self._key_locks.pop(key, None)
-            return value, False
+            try:
+                with self._lock:
+                    value = self._data.get(key, _MISSING)
+                    if value is not _MISSING:
+                        self._data.move_to_end(key)
+                        self._hits.inc()
+                        return value, True
+                    self._misses.inc()
+                value = factory()
+                self.put(key, value)
+                return value, False
+            finally:
+                # Returned or raised, the per-key lock goes; one that a
+                # later caller re-created belongs to that caller.
+                with self._lock:
+                    if self._key_locks.get(key) is key_lock:
+                        del self._key_locks[key]
 
     def clear(self):
         with self._lock:

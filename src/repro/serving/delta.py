@@ -31,7 +31,7 @@ from .. import nn
 from ..graphdata.extract import extract_features
 from ..graphdata.patch import GraphPatcher
 from ..models.incremental import IncrementalForwardState
-from .service import RequestError, finite_number, seed_integer
+from .service import RequestError, validate_shared_fields
 
 __all__ = ["DeltaRequest", "DeltaSession", "DeltaClient"]
 
@@ -70,21 +70,9 @@ class DeltaRequest:
             raise RequestError(
                 "'design' (a named benchmark) is required for delta "
                 "requests")
-        if not isinstance(self.model, str) or not self.model:
-            raise RequestError("'model' must be a non-empty string")
-        self.seed = seed_integer(self.seed)
-        if self.scale is not None:
-            self.scale = finite_number(self.scale, "scale")
-            if self.scale <= 0:
-                raise RequestError("'scale' must be positive")
         if not isinstance(self.edits, list):
             raise RequestError("'edits' must be a list of edit objects")
-        if self.deadline_ms is not None:
-            self.deadline_ms = finite_number(self.deadline_ms, "deadline_ms")
-            if self.deadline_ms < 0:
-                raise RequestError("'deadline_ms' must be >= 0")
-        self.include_slack = bool(self.include_slack)
-        self.no_cache = bool(self.no_cache)
+        validate_shared_fields(self)
         return self
 
     def remaining_s(self):

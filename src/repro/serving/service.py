@@ -100,6 +100,32 @@ def seed_integer(value):
     return seed
 
 
+#: Largest request ``scale``: 1.0 is the full benchmark suite, and the
+#: generator's cost grows with the scale.
+MAX_SCALE = 1.0
+
+
+def validate_shared_fields(request):
+    """Check and normalize, in place, the fields that ``/predict`` and
+    ``/predict/delta`` share: model, seed, scale, deadline and the two
+    flags.  Any bad value is a 400."""
+    if not isinstance(request.model, str) or not request.model:
+        raise RequestError("'model' must be a non-empty string")
+    request.seed = seed_integer(request.seed)
+    if request.scale is not None:
+        request.scale = finite_number(request.scale, "scale")
+        if not 0 < request.scale <= MAX_SCALE:
+            raise RequestError(f"'scale' must be in (0, {MAX_SCALE:g}]")
+    if request.deadline_ms is not None:
+        request.deadline_ms = finite_number(request.deadline_ms,
+                                            "deadline_ms")
+        if request.deadline_ms < 0:
+            raise RequestError("'deadline_ms' must be >= 0")
+    for flag in ("include_slack", "no_cache"):
+        if not isinstance(getattr(request, flag), bool):
+            raise RequestError(f"'{flag}' must be true or false")
+
+
 @dataclass
 class PredictRequest:
     """One slack-prediction request.
@@ -143,19 +169,7 @@ class PredictRequest:
             raise RequestError("'design' must be a string")
         if self.verilog is not None and not isinstance(self.verilog, str):
             raise RequestError("'verilog' must be a string")
-        if not isinstance(self.model, str) or not self.model:
-            raise RequestError("'model' must be a non-empty string")
-        self.seed = seed_integer(self.seed)
-        if self.scale is not None:
-            self.scale = finite_number(self.scale, "scale")
-            if self.scale <= 0:
-                raise RequestError("'scale' must be positive")
-        if self.deadline_ms is not None:
-            self.deadline_ms = finite_number(self.deadline_ms, "deadline_ms")
-            if self.deadline_ms < 0:
-                raise RequestError("'deadline_ms' must be >= 0")
-        self.include_slack = bool(self.include_slack)
-        self.no_cache = bool(self.no_cache)
+        validate_shared_fields(self)
         return self
 
     def remaining_s(self):
@@ -482,6 +496,7 @@ class PredictionService:
         if entry.kind == "timing":
             self.quality.maybe_audit(
                 graph, output["arrival"], model=entry.name,
+                model_version=entry.version,
                 request_id=request.request_id, profile=entry.profile)
         return payload, batch_size
 

@@ -1,4 +1,4 @@
-"""Tape arena, dtype policy and multicore execution.
+"""Tape arena and dtype policy.
 
 Three contracts pin the compute-performance layer:
 
@@ -14,18 +14,22 @@ Three contracts pin the compute-performance layer:
   fused forward+backward step calls fewer numpy buffer constructors
   than the naive tape at every dtype.
 
-Plus the dtype axis (float32 parameters/outputs under ``use_dtype``,
-naive==fused within :func:`repro.nn.contract_tol`) and the thread axis
-(chunked matmul / segment reductions bit-identical to serial).
+Plus the dtype policy: ``use_dtype`` scopes tensor creation,
+``REPRO_DTYPE`` sets the process default, and the fused==naive
+tolerance :func:`repro.nn.contract_tol` is dtype-aware.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import nn
 from repro.models import ModelConfig, TimingGNN
-from repro.nn import kernels, threads
+from repro.nn import kernels
 from repro.nn.arena import NULL_ARENA, TapeArena
 from repro.training.loss import combined_loss
 
@@ -127,7 +131,10 @@ class TestPlannedVsUnplanned:
                 np.testing.assert_array_equal(planned[2][name],
                                               ref[2][name], err_msg=name)
 
-    @settings(max_examples=10, deadline=None)
+    # Also collected in the float32 cell module, with its own instance
+    # of this class.
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(st.data())
     def test_mlp_chain_property(self, data):
         """mlp_chain raw kernels with an arena == without, bitwise."""
@@ -305,18 +312,15 @@ class TestDtypePolicy:
         with nn.use_dtype("float32"):
             assert nn.contract_tol() == (rtol32, atol32)
 
-    def test_float32_model_outputs_and_contract(self, hetero, cfg):
-        with nn.use_dtype("float32"):
-            rtol, atol = nn.contract_tol()
-            with nn.use_kernels("fused"):
-                model = TimingGNN(cfg)
-                at_f, loss_f, grads_f = _train_pass(model, hetero)
-            with nn.use_kernels("naive"):
-                model = TimingGNN(cfg)
-                at_n, loss_n, grads_n = _train_pass(model, hetero)
-        assert at_f.dtype == np.float32
-        np.testing.assert_allclose(at_f, at_n, rtol=rtol, atol=atol)
-        assert loss_f == pytest.approx(loss_n, rel=rtol)
+    def test_repro_dtype_env_sets_process_default(self):
+        """``REPRO_DTYPE`` is read once, at import, in a fresh process."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, REPRO_DTYPE="float32", PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro import nn; print(nn.active_dtype().name)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "float32"
 
     def test_schedules_are_per_dtype(self, hetero):
         s64 = hetero.compute_schedule(dtype=np.float64)
@@ -324,53 +328,3 @@ class TestDtypePolicy:
         assert s64 is not s32
         assert s64.arena("train") is not s32.arena("train")
         assert hetero.compute_schedule(dtype=np.float64) is s64
-
-
-class TestThreadedExecution:
-    def test_matmul_chunked_bit_identical(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(37, 9))
-        b = rng.normal(size=(9, 5))
-        ref = np.matmul(a, b)
-        with nn.use_threads(4, min_rows=1):
-            assert threads.parallel_enabled(len(a))
-            np.testing.assert_array_equal(threads.matmul(a, b), ref)
-
-    def test_segment_reduce_chunked_bit_identical(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(50, 3))
-        ids = rng.integers(0, 7, size=50)
-        sched = kernels.SegmentSchedule(ids)
-        ref = threads.segment_reduce(np.add, data, sched.order,
-                                     sched.starts)
-        with nn.use_threads(4, min_rows=1):
-            got = threads.segment_reduce(np.add, data, sched.order,
-                                         sched.starts)
-        np.testing.assert_array_equal(got, ref)
-
-    def test_model_matches_serial_under_threads(self, hetero, cfg):
-        """Chunked model pass == serial pass within the fp64 contract.
-
-        Segment reductions chunk at segment boundaries and are exactly
-        identical; row-chunked BLAS matmuls may block the within-row
-        accumulation differently, so the model-level comparison uses
-        the dtype contract tolerance rather than bit equality.
-        """
-        rtol, atol = nn.contract_tol(np.float64)
-        with nn.use_kernels("fused"), nn.use_dtype("float64"):
-            model = TimingGNN(cfg)
-            ref = _train_pass(model, hetero)
-            with nn.use_threads(4, min_rows=1):
-                model = TimingGNN(cfg)
-                got = _train_pass(model, hetero)
-        np.testing.assert_allclose(got[0], ref[0], rtol=rtol, atol=atol)
-        assert got[1] == pytest.approx(ref[1], rel=rtol)
-        for name in ref[2]:
-            np.testing.assert_allclose(got[2][name], ref[2][name],
-                                       rtol=rtol, atol=atol, err_msg=name)
-
-    def test_serial_below_threshold(self):
-        with nn.use_threads(4, min_rows=10_000):
-            assert not threads.parallel_enabled(100)
-        with nn.use_threads(1, min_rows=1):
-            assert not threads.parallel_enabled(100)

@@ -9,8 +9,9 @@ differential: apply edits incrementally, then rebuild the same design
 from scratch (full re-route + full STA + full extraction + whole-graph
 forward) and require equality — bit-for-bit on graph feature arrays,
 the dtype contract tolerance on model predictions — across edit kinds,
-LUT modes, kernel backends, edit sequences (hypothesis), the service,
-and the HTTP front-end.  Labels are compared
+edit sequences (hypothesis), the service, and the HTTP front-end (the
+edit-kind differential runs in every kernel backend, dtype and arena
+cell in ``test_contracts.py``).  Labels are compared
 after the lazy label pass (``materialize()``).  The request path itself
 is pinned label-free (no routing, STA or incremental timer), and its
 degraded answers use only labels of the current version or fail with a
@@ -19,7 +20,6 @@ degraded answers use only labels of the current version or fail with a
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -220,43 +220,10 @@ class TestParseEdits:
             parse_edits([dict(edit, x=1.0, y=edit["x"])])
 
 
-# -- edit-kind differentials, both kernel backends -----------------------------
+# -- edit differentials --------------------------------------------------------
 class TestEditDifferential:
-    """Every edit kind: incremental session == full rebuild, at 1e-9."""
-
-    @pytest.mark.parametrize("lut_mode", ["kron", "mlp"])
-    @pytest.mark.parametrize("backend", ["fused", "naive"])
-    def test_every_edit_kind_matches_full_reextract(self, toy_model,
-                                                    backend, lut_mode):
-        if lut_mode != toy_model.cfg.lut_mode:
-            toy_model = TimingGNN(dataclasses.replace(toy_model.cfg,
-                                                      lut_mode=lut_mode))
-        with nn.use_kernels(backend):
-            session = DeltaSession(DESIGN, 1, SCALE, key="diff",
-                                   clock_period=base_clock())
-            entry = _entry(toy_model)
-            edits = [
-                _move_edit(session.patcher),
-                _resize_edit(session.patcher),
-                _register_resize_edit(session.patcher),
-                _buffer_edit(session.patcher, name="tbuf0"),
-                {"op": "remove_buffer", "name": "tbuf0"},
-            ]
-            for i, edit in enumerate(edits):
-                session.apply(parse_edits([edit]))
-                state, stats = session.refresh(entry)
-                assert session.version == i + 1
-                ref = full_reextract(session.patcher)
-                # Served slack reads the endpoint mask and required rows
-                # before any label pass: they must already be exact.
-                eps = ref.is_endpoint
-                np.testing.assert_array_equal(session.hetero.is_endpoint,
-                                              eps)
-                np.testing.assert_array_equal(session.hetero.required[eps],
-                                              ref.required[eps])
-                session.materialize()
-                assert_graph_matches(session.hetero, ref)
-                assert_predictions_match(state, ref, toy_model)
+    """Incremental session == full rebuild.  The per-edit-kind
+    differential runs in every numeric cell in ``test_contracts.py``."""
 
     def test_one_label_pass_over_pending_edits(self, monkeypatch):
         """One timer update over the union of several pending moves and

@@ -6,7 +6,9 @@ they validate wiring and output schemas, not model quality — quality is
 the benchmarks' job.
 """
 
+import json
 import os
+import urllib.request
 
 import numpy as np
 import pytest
@@ -158,6 +160,31 @@ class TestModelCache:
                                       model_b.named_parameters()):
             assert na == nb
             np.testing.assert_allclose(pa.data, pb.data)
+
+
+class TestTrainedCheckpointServing:
+    def test_registry_serves_the_checkpoint_over_http(self, monkeypatch):
+        """The registry's default loader reads the trained checkpoint
+        from the cache directory, and the model answers ``/predict``."""
+        from repro.experiments import trained_timing_gnn
+        from repro.serving import (ModelRegistry, PredictionService,
+                                   ServingServer)
+        trained_timing_gnn("full")        # the checkpoint on disk
+        common._MODELS.clear()
+        trainings = []
+        monkeypatch.setattr(common, "train_timing_gnn",
+                            lambda *args, **kwargs: trainings.append(args))
+        registry = ModelRegistry(names=["timing-full"])
+        with ServingServer(PredictionService(registry=registry)) as server:
+            request = urllib.request.Request(
+                server.url + "/predict", data=json.dumps(
+                    {"design": "spm", "model": "timing-full"}).encode())
+            with urllib.request.urlopen(request, timeout=120) as resp:
+                status, body = resp.status, json.loads(resp.read())
+        assert status == 200
+        assert not body["degraded"]
+        assert body["model_version"] == registry.get("timing-full").version
+        assert trainings == []
 
 
 class TestReportGenerator:

@@ -288,14 +288,11 @@ class TestFusedModelDifferential:
 
     The fused backend (mlp_chain, gather_concat, CSR segment kernels,
     the level-fused propagation mega-op) must reproduce the composed
-    op-by-op path to 1e-9 relative tolerance on outputs, loss and every
-    parameter gradient — the kernels reorder floating point arithmetic
-    but never approximate.
+    op-by-op path within :func:`repro.nn.contract_tol` on outputs, loss
+    and every parameter gradient — the kernels reorder floating point
+    arithmetic but never approximate.  ``test_contracts.py`` repeats
+    this check in every dtype and arena cell.
     """
-
-    # Dtype contract tolerance: 1e-9 relative at float64, relaxed under
-    # REPRO_DTYPE=float32 (see repro.nn.contract_tol).
-    RTOL, ATOL = nn.contract_tol()
 
     def _run(self, model, hetero, backend):
         from repro.training.loss import combined_loss
@@ -310,17 +307,17 @@ class TestFusedModelDifferential:
                  if p.grad is not None})
 
     def test_forward_backward_match(self, hetero, cfg):
+        rtol, atol = nn.contract_tol()
         model = TimingGNN(cfg)
         at_f, loss_f, grads_f = self._run(model, hetero, "fused")
         at_n, loss_n, grads_n = self._run(model, hetero, "naive")
-        np.testing.assert_allclose(at_f, at_n, rtol=self.RTOL,
-                                   atol=self.ATOL)
-        assert loss_f == pytest.approx(loss_n, rel=self.RTOL)
+        np.testing.assert_allclose(at_f, at_n, rtol=rtol, atol=atol)
+        assert loss_f == pytest.approx(loss_n, rel=rtol)
         assert set(grads_f) == set(grads_n)
         for name in grads_n:
             np.testing.assert_allclose(
-                grads_f[name], grads_n[name], rtol=self.RTOL,
-                atol=self.ATOL, err_msg=f"gradient mismatch: {name}")
+                grads_f[name], grads_n[name], rtol=rtol, atol=atol,
+                err_msg=f"gradient mismatch: {name}")
 
     def test_fused_propagate_dispatch(self, hetero, cfg):
         """kron-mode propagation takes the level-fused path; predictions
@@ -331,8 +328,9 @@ class TestFusedModelDifferential:
         with nn.use_kernels("naive"):
             pred_n = model.predict(hetero)
         assert pred_f.atslew._parents == ()  # no_grad: tape-free
+        rtol, atol = nn.contract_tol()
         for field in ("atslew", "net_delay", "cell_delay"):
             np.testing.assert_allclose(
                 getattr(pred_f, field).data, getattr(pred_n, field).data,
-                rtol=self.RTOL, atol=self.ATOL)
+                rtol=rtol, atol=atol)
         np.testing.assert_array_equal(pred_f.edge_order, pred_n.edge_order)

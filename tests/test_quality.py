@@ -427,6 +427,24 @@ class TestOnlineOfflineDifferential:
                 assert online_value == pytest.approx(
                     offline_value, abs=1e-9), key
 
+    def test_audit_record_names_model_version(self, toy_model, monkeypatch,
+                                              tmp_path):
+        monkeypatch.setenv("REPRO_AUDIT_RATE", "1")
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        service = PredictionService(registry=toy_registry(toy_model),
+                                    scale=SCALE)
+        try:
+            service.predict({"design": "spm", "model": "toy",
+                             "no_cache": True})
+            assert service.quality.flush()
+            records, _corrupt = service.quality.log.scan()
+            version = service.registry.get("toy").version
+        finally:
+            service.close()
+        assert len(records) == 1
+        assert records[0]["model"] == "toy"
+        assert records[0]["model_version"] == version
+
     def test_service_stats_and_healthz_surface_quality(
             self, toy_model, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_AUDIT_RATE", "1")

@@ -74,6 +74,28 @@ def service(toy_model):
     svc.close()
 
 
+# Values the validator shared by /predict and /predict/delta rejects:
+# scales above the full suite (1.0), and flags that are not JSON
+# booleans ("false" would read as true).
+BAD_SHARED_FIELDS = [("scale", 1e9), ("scale", 1.0 + 1e-9), ("scale", 0),
+                     ("no_cache", "false"), ("no_cache", 0),
+                     ("include_slack", "true"), ("include_slack", None)]
+
+
+def _spy_flow_builds(monkeypatch):
+    """Record, and refuse, every benchmark design the physical flow is
+    asked to build: a rejected request must never get that far (and a
+    1e9 scale must not run)."""
+    builds = []
+
+    def spy(name, *args, **kwargs):
+        builds.append(name)
+        raise AssertionError(f"a rejected request built {name!r}")
+
+    monkeypatch.setattr(Flow, "from_benchmark", spy)
+    return builds
+
+
 # -- graph batching ------------------------------------------------------------
 class TestBatchGraphs:
     def test_union_shapes(self, graphs):
@@ -185,6 +207,20 @@ class TestLRUCache:
         assert all(value == "value" for value, _hit in results)
         assert sum(1 for _v, hit in results if not hit) == 1
 
+    def test_failing_factory_leaves_no_key_lock(self):
+        cache = LRUCache(capacity=4)
+
+        def factory():
+            raise RuntimeError("build failed")
+
+        for i in range(100):
+            with pytest.raises(RuntimeError):
+                cache.get_or_create(f"k{i}", factory)
+        assert cache._key_locks == {}
+        assert len(cache) == 0
+        assert cache.get_or_create("k0", lambda: "value") == ("value", False)
+        assert cache._key_locks == {}
+
 
 # -- service semantics ---------------------------------------------------------
 class TestPredictionService:
@@ -223,12 +259,34 @@ class TestPredictionService:
             service.predict({"design": "not_a_benchmark", "model": "toy"})
         assert err.value.status == 404
 
+    def test_unknown_designs_leave_no_key_locks(self, service):
+        for seed in range(50):
+            with pytest.raises(RequestError):
+                service.predict({"design": "not_a_benchmark",
+                                 "model": "toy", "seed": seed})
+        assert service.graph_cache._key_locks == {}
+
     def test_seed_must_be_a_nonnegative_integer(self):
         from repro.serving.service import seed_integer
         assert seed_integer(2.0) == 2 and seed_integer("3") == 3
         for bad in (-1, 2.7, float("nan"), float("inf"), "2.5", None):
             with pytest.raises(RequestError, match="'seed'"):
                 seed_integer(bad)
+
+    @pytest.mark.parametrize("method", ["predict", "predict_delta"])
+    @pytest.mark.parametrize("field,value", BAD_SHARED_FIELDS)
+    def test_bad_shared_field_is_400_and_builds_nothing(
+            self, service, monkeypatch, method, field, value):
+        builds = _spy_flow_builds(monkeypatch)
+        with pytest.raises(RequestError, match=f"'{field}'") as err:
+            getattr(service, method)({"design": "spm", "model": "toy",
+                                      field: value})
+        assert err.value.status == 400
+        assert builds == []
+
+    def test_full_scale_is_accepted(self):
+        from repro.serving.service import PredictRequest
+        assert PredictRequest(design="spm", scale=1).validate().scale == 1.0
 
     def test_validation_rejects_ambiguous_source(self, service):
         with pytest.raises(RequestError):
@@ -380,6 +438,18 @@ class TestHTTPServer:
                               "seed": seed})
         assert status == 400, body
         assert "'seed'" in body["error"]
+
+    @pytest.mark.parametrize("path", ["/predict", "/predict/delta"])
+    @pytest.mark.parametrize("field,value", BAD_SHARED_FIELDS)
+    def test_bad_shared_field_is_400_and_builds_nothing(
+            self, server, monkeypatch, path, field, value):
+        builds = _spy_flow_builds(monkeypatch)
+        status, body = _post(server.url + path,
+                             {"design": "spm", "model": "toy",
+                              field: value})
+        assert status == 400, body
+        assert f"'{field}'" in body["error"]
+        assert builds == []
 
     @pytest.mark.parametrize("path", ["/predict", "/predict/delta"])
     def test_internal_fault_is_500_and_counts_against_slo(
