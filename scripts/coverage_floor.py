@@ -17,9 +17,10 @@ Covered packages (each with its own test files and an 80% floor):
   contract matrix (tests/test_contracts.py, which pushes the fused
   propagation path end to end in every backend, dtype and arena cell);
 * ``src/repro/obs`` — metrics/tracing/logging plus the run ledger,
-  tape profiler, HTML report and ``repro top`` frame, the latency SLO
-  and the shadow-audit quality monitor, driven by tests/test_obs.py,
-  tests/test_runs.py and tests/test_quality.py;
+  tape profiler, HTML report and ``repro top`` frame, the latency SLO,
+  the shadow-audit quality monitor and the JSONL log behind the ledger,
+  audit log and trace sink, driven by tests/test_obs.py,
+  tests/test_runs.py, tests/test_quality.py and tests/test_jsonl.py;
 * ``src/repro/serving`` — the prediction service, HTTP front-end,
   micro-batcher and delta sessions, driven by tests/test_serving.py,
   tests/test_delta.py and tests/test_quality.py;
@@ -65,7 +66,8 @@ TARGETS = {
     },
     "obs": {
         "dir": os.path.join(REPO, "src", "repro", "obs"),
-        "tests": _t("test_obs.py", "test_runs.py", "test_quality.py"),
+        "tests": _t("test_obs.py", "test_runs.py", "test_quality.py",
+                    "test_jsonl.py"),
     },
     "serving": {
         "dir": os.path.join(REPO, "src", "repro", "serving"),

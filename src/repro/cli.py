@@ -71,6 +71,7 @@ def _cmd_build_dataset(args):
     from .graphdata import load_dataset
     from .netlist import BENCHMARKS
     from .obs import get_registry
+    from .parallel import default_workers
 
     benchmarks = BENCHMARKS
     if args.designs:
@@ -80,10 +81,12 @@ def _cmd_build_dataset(args):
             print(f"unknown benchmarks: {unknown}", file=sys.stderr)
             return 2
         benchmarks = [by_name[n] for n in args.designs]
+    workers = default_workers() if args.workers is None \
+        else max(1, args.workers)
     t0 = time.perf_counter()
     records = load_dataset(scale=args.scale, cache=not args.no_cache,
                            cache_dir=args.cache_dir, benchmarks=benchmarks,
-                           workers=args.workers)
+                           workers=workers)
     elapsed = time.perf_counter() - t0
     print(f"{'design':<16}{'split':<7}{'nodes':>7}{'net':>7}{'cell':>7}"
           f"{'EP':>6}{'flow s':>8}")
@@ -98,7 +101,7 @@ def _cmd_build_dataset(args):
                for entry in snapshot.get("repro_dataset_designs_total", [])
                if entry["labels"].get("result") == "hit")
     print(f"\nbuilt {len(records)} designs in {elapsed:.2f}s "
-          f"(workers={args.workers or 'REPRO_WORKERS'}, "
+          f"(workers={workers}, "
           f"cache hits {int(hits)})")
     return 0
 
@@ -243,39 +246,65 @@ def _summarize_run(record):
     return f"epochs={len(loss)} final_loss={record['final_loss']:.5g}"
 
 
+def _ls_show(args, log, noun, record_id, header, row, kind=None):
+    """`ls` and `show` of a JSONL log: the run ledger or the audit log.
+
+    ``header`` and ``row(record)`` are the log's own `ls` columns.
+    """
+    import json
+
+    if args.action == "ls":
+        records, corrupt = log.scan(kind=kind)
+        if args.last:
+            records = records[-args.last:]
+        if not records:
+            print(f"no {noun}s recorded in {log.path}")
+            return 0
+        print(header)
+        for record in records:
+            print(row(record))
+        note = f", {corrupt} corrupt lines skipped" if corrupt else ""
+        print(f"\n{len(records)} {noun}s in {log.path}{note}")
+        return 0
+    if args.action == "show":
+        if not record_id:
+            print(f"{args.command} show: {noun.upper()}_ID required",
+                  file=sys.stderr)
+            return 2
+        record = log.get(record_id)
+        if record is None:
+            print(f"no {noun} matching {record_id!r} in {log.path}",
+                  file=sys.stderr)
+            return 1
+        print(json.dumps(record, indent=2, sort_keys=True))
+        return 0
+    raise AssertionError(args.action)
+
+
+def _run_row(record):
+    return (f"{record['run_id']:<42}"
+            f"{record.get('recorded_at', '?'):<22}"
+            f"{record.get('backend', '—') or '—':<9}"
+            f"{_summarize_run(record)}")
+
+
+def _audit_row(record):
+    mae = record.get("slack_mae_ps")
+    drift = record.get("drift_score")
+    mae_col = f"{mae:>9.2f}" if mae is not None else f"{'—':>9}"
+    drift_col = f"{drift:>8.3f}" if drift is not None else f"{'—':>8}"
+    return (f"{record['audit_id']:<42}"
+            f"{record.get('design') or '—':<14}"
+            f"{record.get('model') or '—':<14}"
+            f"{mae_col}{drift_col}")
+
+
 def _cmd_runs(args):
     import json
 
     from .obs import default_ledger
 
     ledger = default_ledger()
-    if args.action == "ls":
-        records, corrupt = ledger.scan(kind=args.kind)
-        if args.last:
-            records = records[-args.last:]
-        if not records:
-            print(f"no runs recorded in {ledger.path}")
-            return 0
-        print(f"{'run':<42}{'recorded':<22}{'backend':<9}detail")
-        for record in records:
-            print(f"{record['run_id']:<42}"
-                  f"{record.get('recorded_at', '?'):<22}"
-                  f"{record.get('backend', '—') or '—':<9}"
-                  f"{_summarize_run(record)}")
-        note = f", {corrupt} corrupt lines skipped" if corrupt else ""
-        print(f"\n{len(records)} runs in {ledger.path}{note}")
-        return 0
-    if args.action == "show":
-        if not args.run_id:
-            print("runs show: RUN_ID required", file=sys.stderr)
-            return 2
-        record = ledger.get(args.run_id)
-        if record is None:
-            print(f"no run matching {args.run_id!r} in {ledger.path}",
-                  file=sys.stderr)
-            return 1
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0
     if args.action == "export":
         records, corrupt = ledger.scan(kind=args.kind)
         out = sys.stdout if args.output in (None, "-") \
@@ -290,49 +319,17 @@ def _cmd_runs(args):
                       + (f" ({corrupt} corrupt lines skipped)"
                          if corrupt else ""))
         return 0
-    raise AssertionError(args.action)
+    return _ls_show(args, ledger, "run", args.run_id,
+                    f"{'run':<42}{'recorded':<22}{'backend':<9}detail",
+                    _run_row, kind=args.kind)
 
 
 def _cmd_audit(args):
-    import json
-
     from .obs import AuditLog
 
-    log = AuditLog(path=args.path)
-    if args.action == "ls":
-        records, corrupt = log.scan()
-        if args.last:
-            records = records[-args.last:]
-        if not records:
-            print(f"no audits recorded in {log.path}")
-            return 0
-        print(f"{'audit':<42}{'design':<14}{'model':<14}"
-              f"{'mae_ps':>9}{'drift':>8}")
-        for record in records:
-            mae = record.get("slack_mae_ps")
-            drift = record.get("drift_score")
-            mae_col = f"{mae:>9.2f}" if mae is not None else f"{'—':>9}"
-            drift_col = (f"{drift:>8.3f}" if drift is not None
-                         else f"{'—':>8}")
-            print(f"{record['audit_id']:<42}"
-                  f"{record.get('design') or '—':<14}"
-                  f"{record.get('model') or '—':<14}"
-                  f"{mae_col}{drift_col}")
-        note = f", {corrupt} corrupt lines skipped" if corrupt else ""
-        print(f"\n{len(records)} audits in {log.path}{note}")
-        return 0
-    if args.action == "show":
-        if not args.audit_id:
-            print("audit show: AUDIT_ID required", file=sys.stderr)
-            return 2
-        record = log.get(args.audit_id)
-        if record is None:
-            print(f"no audit matching {args.audit_id!r} in {log.path}",
-                  file=sys.stderr)
-            return 1
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0
-    raise AssertionError(args.action)
+    return _ls_show(args, AuditLog(path=args.path), "audit", args.audit_id,
+                    f"{'audit':<42}{'design':<14}{'model':<14}"
+                    f"{'mae_ps':>9}{'drift':>8}", _audit_row)
 
 
 def _cmd_profile(args):
@@ -401,30 +398,32 @@ def _cmd_stats(args):
 
 
 def _cmd_trace(args):
-    from .obs import format_span_tree, get_tracer, iter_trace_records
+    from .obs import JsonlLog, format_span_tree, get_tracer
 
     if args.export:
         # Stream an existing (possibly rotated) JSONL sink; with
         # --trace-id only the matching records are ever held in memory,
         # so one request timeline can be pulled out of a huge sink.
-        records = list(iter_trace_records(args.export,
-                                          trace_id=args.trace_id))
+        records, corrupt = JsonlLog(args.export, "span_id").scan(
+            trace_id=args.trace_id)
+        note = f" ({corrupt} corrupt lines skipped)" if corrupt else ""
         if not records:
             what = (f"trace {args.trace_id!r}" if args.trace_id
                     else "spans")
-            print(f"no {what} found in {args.export}", file=sys.stderr)
+            print(f"no {what} found in {args.export}{note}",
+                  file=sys.stderr)
             return 1
         if args.output:
             import json
             with open(args.output, "w") as fh:
                 for record in records:
                     fh.write(json.dumps(record) + "\n")
-            print(f"wrote {len(records)} spans to {args.output}")
+            print(f"wrote {len(records)} spans to {args.output}{note}")
         else:
             print(format_span_tree(records))
             print(f"\n{len(records)} spans from {args.export}"
                   + (f" (trace {args.trace_id})" if args.trace_id
-                     else ""))
+                     else "") + note)
         return 0
 
     if not args.benchmark:
@@ -436,7 +435,8 @@ def _cmd_trace(args):
     tracer = get_tracer()
     tracer.reset()
     output = args.output or f"trace_{args.benchmark}.jsonl"
-    tracer.set_sink(output, mode="w")
+    open(output, "w").close()          # the sink appends: start empty
+    tracer.set_sink(output)
     try:
         flow = Flow.from_benchmark(args.benchmark, scale=args.scale)
         flow.run(seed=args.seed)
@@ -639,7 +639,8 @@ def build_parser():
                        help="inspect the run ledger (REPRO_RUNS_DIR)")
     p.add_argument("action", choices=["ls", "show", "export"])
     p.add_argument("run_id", nargs="?", default=None,
-                   help="run id (or unique prefix) for `show`")
+                   help="run id, or a prefix of one, for `show` (the "
+                        "newest match)")
     p.add_argument("--kind", default=None,
                    help="filter by kind prefix (train, train_gcnii, "
                         "...)")
@@ -654,7 +655,8 @@ def build_parser():
                             "(REPRO_RUNS_DIR/audits.jsonl)")
     p.add_argument("action", choices=["ls", "show"])
     p.add_argument("audit_id", nargs="?", default=None,
-                   help="audit id (or unique prefix) for `show`")
+                   help="audit id, or a prefix of one, for `show` (the "
+                        "newest match)")
     p.add_argument("-n", "--last", type=int, default=None,
                    help="only the N most recent audits (ls)")
     p.add_argument("--path", default=None,
@@ -717,7 +719,8 @@ def build_parser():
                    help="render spans from this (possibly rotated) JSONL "
                         "sink instead of running a flow")
     p.add_argument("--trace-id", default=None,
-                   help="with --export: only spans of this trace id")
+                   help="with --export: only spans whose trace id starts "
+                        "with this")
     p.add_argument("-o", "--output", default=None,
                    help="JSONL destination (default: "
                         "trace_<benchmark>.jsonl; with --export, write "

@@ -1,15 +1,20 @@
 """Observability: metrics, tracing, logging, run ledger and profiling.
 
-The measurement substrate of the reproduction (DESIGN.md §3).  Six
-independent primitives, one import point:
+The measurement substrate of the reproduction (DESIGN.md §3).  Seven
+primitives, one import point:
 
 * :mod:`.metrics` — thread-safe :class:`MetricsRegistry` of counters,
   gauges and histograms (streaming quantiles), rendered either as a
   JSON snapshot (``/stats``) or in Prometheus text exposition format
   (``/metrics``);
+* :mod:`.jsonl` — the one append-only JSONL log behind the run ledger,
+  the audit log and the trace sink: one atomic write per record,
+  rotation to ``<path>.1`` at a size bound (``ROTATE_BYTES``; the
+  ledger never rotates), and one corrupt-tolerant streaming reader of
+  both generations with id and id-prefix lookup;
 * :mod:`.tracing` — nested spans (``with tracer.span("flow.place")``)
-  with per-thread parent tracking, bounded retention and rotating JSONL
-  export (``REPRO_TRACE=<path>``, bounded by ``REPRO_TRACE_MAX_LINES``);
+  with per-thread parent tracking, bounded retention and a rotating
+  JSONL sink (``REPRO_TRACE=<path>``);
 * :mod:`.logging` — structured key=value records with per-module
   levels (``REPRO_LOG=repro.training=debug``);
 * :mod:`.runs` — append-only, schema-versioned run ledger under
@@ -24,7 +29,7 @@ independent primitives, one import point:
   shadow-STA audits of served predictions (``REPRO_AUDIT_RATE``), shared
   endpoint accuracy metrics, PSI feature-drift detection against
   train-time :class:`FeatureProfile` references
-  (``REPRO_DRIFT_THRESHOLD``), a rotated JSONL audit log, and the
+  (``REPRO_DRIFT_THRESHOLD``), the rotated JSONL audit log, and the
   rolling latency and accuracy SLOs behind ``/healthz``.
 
 The flow, STA engine, extraction and training instrument the
@@ -33,6 +38,7 @@ process-wide defaults (:func:`get_registry`, :func:`get_tracer`,
 co-hosted services stay separable.
 """
 
+from .jsonl import JsonlLog
 from .logging import (LEVELS, Logger, LogManager, configure, get_logger)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       get_registry, set_registry)
@@ -46,13 +52,13 @@ from .runs import (RUNS_SCHEMA_VERSION, RunLedger, config_fingerprint,
                    default_ledger, default_runs_dir, new_run_id,
                    record_run)
 from .tracing import (Span, Tracer, format_span_tree, get_tracer,
-                      iter_trace_records, mint_trace_id)
+                      mint_trace_id)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry", "set_registry",
-    "Span", "Tracer", "format_span_tree", "get_tracer",
-    "iter_trace_records", "mint_trace_id",
+    "JsonlLog",
+    "Span", "Tracer", "format_span_tree", "get_tracer", "mint_trace_id",
     "LEVELS", "Logger", "LogManager", "configure", "get_logger",
     "RUNS_SCHEMA_VERSION", "RunLedger", "config_fingerprint",
     "default_ledger", "default_runs_dir", "new_run_id", "record_run",

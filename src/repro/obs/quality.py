@@ -29,11 +29,10 @@ Both service-level objectives behind ``/healthz`` live here too, on one
 rolling good/bad window: :class:`SloTracker` scores request latency and
 :class:`AccuracySlo` scores audited slack error.
 
-The audit log (``audits.jsonl`` under ``REPRO_RUNS_DIR``) follows the
-run-ledger discipline: one atomic ``O_APPEND`` write per record,
-corrupt-line-tolerant reads, and rotation to ``<path>.1`` once
-``REPRO_AUDIT_MAX_LINES`` lines accumulate (mirroring
-``REPRO_TRACE_MAX_LINES``).
+The audit log (``audits.jsonl`` under ``REPRO_RUNS_DIR``) is a
+:class:`~repro.obs.jsonl.JsonlLog` like the run ledger and the trace
+sink: one atomic write per record, corrupt-line-tolerant reads of both
+generations, and rotation to ``<path>.1`` at the shared size bound.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from collections import deque
 
 import numpy as np
 
+from . import jsonl
 from .logging import get_logger
 from .runs import default_runs_dir, new_run_id
 
@@ -199,32 +199,16 @@ class DriftTracker:
 
 
 # -- the audit log ---------------------------------------------------------------
-def _count_lines(path):
-    try:
-        with open(path, "rb") as fh:
-            return sum(chunk.count(b"\n")
-                       for chunk in iter(lambda: fh.read(1 << 20), b""))
-    except OSError:
-        return 0
+class AuditLog(jsonl.JsonlLog):
+    """JSONL log of shadow-audit records, rotated at ``ROTATE_BYTES``.
 
-
-class AuditLog:
-    """Rotated, corrupt-tolerant JSONL log of shadow-audit records.
-
-    Same write discipline as the run ledger (one atomic ``O_APPEND``
-    write per record) and the same rotation contract as trace sinks:
-    at ``max_lines`` (``REPRO_AUDIT_MAX_LINES``, default 100000) the
-    file moves to ``<path>.1`` and writing restarts.
+    ``scan`` and ``get`` read the rotated generation (``<path>.1``)
+    before the live file; ``get`` takes an audit id or a prefix of one.
     """
 
-    def __init__(self, path=None, max_lines=None):
-        self.path = path or default_audit_log_path()
-        if max_lines is None:
-            max_lines = int(os.environ.get("REPRO_AUDIT_MAX_LINES",
-                                           100000) or 0) or None
-        self.max_lines = max_lines
-        self._lock = threading.Lock()
-        self._lines = None   # counted lazily on first append
+    def __init__(self, path=None):
+        super().__init__(path or default_audit_log_path(), "audit_id",
+                         max_bytes=jsonl.ROTATE_BYTES)
 
     def append(self, record):
         """Append one audit record; returns the stamped record."""
@@ -233,60 +217,7 @@ class AuditLog:
         record.setdefault(
             "recorded_at",
             time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-        line = (json.dumps(record, default=str) + "\n").encode()
-        with self._lock:
-            if self._lines is None:
-                self._lines = _count_lines(self.path)
-            if self.max_lines and self._lines >= self.max_lines:
-                try:
-                    os.replace(self.path, self.path + ".1")
-                except OSError:
-                    pass
-                self._lines = 0
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            fd = os.open(self.path,
-                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, line)
-            finally:
-                os.close(fd)
-            self._lines += 1
-        return record
-
-    def scan(self):
-        """(records, corrupt_line_count), oldest first, bad lines skipped."""
-        records, corrupt = [], 0
-        try:
-            fh = open(self.path, encoding="utf-8", errors="replace")
-        except FileNotFoundError:
-            return records, corrupt
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    corrupt += 1
-                    continue
-                if not isinstance(record, dict) or "audit_id" not in record:
-                    corrupt += 1
-                    continue
-                records.append(record)
-        return records, corrupt
-
-    def get(self, audit_id):
-        """The record with ``audit_id`` (or a unique prefix), or None."""
-        exact, prefixed = None, []
-        for record in self.scan()[0]:
-            if record["audit_id"] == audit_id:
-                exact = record
-            elif str(record["audit_id"]).startswith(audit_id):
-                prefixed.append(record)
-        if exact is not None:
-            return exact
-        return prefixed[-1] if prefixed else None
+        return super().append(record)
 
 
 # -- service-level objectives ----------------------------------------------------
@@ -406,8 +337,8 @@ class QualityMonitor:
     QUEUE_REASONS = ("queue_full", "budget", "error")
 
     def __init__(self, registry=None, rate=None,
-                 budget_per_min=None, log_path=None, max_lines=None,
-                 threshold=None, slo=None, queue_size=64, seed=None):
+                 budget_per_min=None, log_path=None, threshold=None,
+                 slo=None, queue_size=64, seed=None):
         from .metrics import MetricsRegistry
         self.registry = registry if registry is not None \
             else MetricsRegistry()
@@ -419,8 +350,8 @@ class QualityMonitor:
         self.threshold = drift_threshold() if threshold is None \
             else float(threshold)
         self.slo = slo or AccuracySlo()
-        self.log = AuditLog(path=log_path, max_lines=max_lines) \
-            if log_path is not False else None
+        self.log = AuditLog(path=log_path) if log_path is not False \
+            else None
         self._rng = random.Random(seed)
         self._queue = queue.Queue(maxsize=int(queue_size))
         self._pending = 0
@@ -430,7 +361,6 @@ class QualityMonitor:
         self._tokens = self.budget_per_min   # token bucket, refills /s
         self._token_ts = time.monotonic()
         self._drift = {}                     # model name -> DriftTracker
-        self._recent = deque(maxlen=64)      # recent audit summaries
         self.enabled = self.rate > 0.0
         if self.enabled:
             self._make_instruments()
@@ -570,7 +500,6 @@ class QualityMonitor:
                    "slack_mae_ps": None if not np.isfinite(mae_ps)
                    else round(float(mae_ps), 6),
                    "drift_score": drift_max}
-        self._recent.append(summary)
         if self.log is not None:
             try:
                 self.log.append({**summary, "served_at": served_ts,

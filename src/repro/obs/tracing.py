@@ -14,8 +14,9 @@ same thread records it as its parent, and the outermost span of a chain
 mints the ``trace_id`` every descendant shares.  Finished spans are
 retained in a bounded buffer (for ``repro trace`` and tests) and, when
 a sink is set — explicitly via :meth:`Tracer.set_sink` or through the
-``REPRO_TRACE=<path>`` environment variable — streamed to that file as
-one JSON object per line.
+``REPRO_TRACE=<path>`` environment variable — appended to that file as
+one JSON object per line (a rotating :class:`~repro.obs.jsonl.JsonlLog`,
+which also reads a sink back: ``JsonlLog(path, "span_id").scan()``).
 
 Tracing is cheap (one clock read and a small object per span) but can
 be switched off wholesale with ``tracer.enabled = False``, which turns
@@ -24,7 +25,6 @@ be switched off wholesale with ``tracer.enabled = False``, which turns
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -32,46 +32,15 @@ import uuid
 from contextlib import contextmanager
 from collections import deque
 
+from . import jsonl
+
 __all__ = ["Span", "Tracer", "get_tracer", "format_span_tree",
-           "mint_trace_id", "iter_trace_records"]
+           "mint_trace_id"]
 
 
 def mint_trace_id():
     """A fresh 16-hex-char trace id (front-ends mint one per request)."""
     return uuid.uuid4().hex[:16]
-
-
-def iter_trace_records(path, trace_id=None):
-    """Stream span records out of a JSONL sink, oldest first.
-
-    Reads the rotated generation (``<path>.1``, when present) before the
-    live file, line by line — a single trace can be filtered out of a
-    multi-gigabyte sink without ever holding more than the matching
-    records.  Corrupt lines are skipped, matching the run ledger's
-    tolerance for torn writes.
-    """
-    path = os.fspath(path)
-    candidates = [path + ".1", path]
-    for candidate in candidates:
-        try:
-            fh = open(candidate)
-        except OSError:
-            continue
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(record, dict) or "span_id" not in record:
-                    continue
-                if trace_id is not None \
-                        and record.get("trace_id") != trace_id:
-                    continue
-                yield record
 
 
 class Span:
@@ -118,18 +87,6 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def _count_lines(path):
-    """Newline count of an existing file (0 when absent)."""
-    count = 0
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                count += chunk.count(b"\n")
-    except OSError:
-        pass
-    return count
-
-
 class Tracer:
     """Per-process span factory with a bounded retention buffer."""
 
@@ -138,11 +95,7 @@ class Tracer:
         self._retained = deque(maxlen=int(keep))
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._sink = None
-        self._sink_owned = False
-        self._sink_path = None
-        self._sink_lines = 0
-        self._sink_max_lines = None
+        self._sink = None            # a JsonlLog while a sink is set
 
     # -- span lifecycle --------------------------------------------------------
     def _stack(self):
@@ -190,72 +143,34 @@ class Tracer:
         record = span.to_dict()
         with self._lock:
             self._retained.append(record)
-            if self._sink is not None:
-                if self._sink_path is not None \
-                        and self._sink_max_lines is not None \
-                        and self._sink_lines >= self._sink_max_lines:
-                    self._rotate_locked()
-                self._sink.write(json.dumps(record) + "\n")
-                self._sink.flush()
-                self._sink_lines += 1
-
-    def _rotate_locked(self):
-        """Roll the owned path sink over to ``<path>.1`` (lock held)."""
-        self._sink.close()
-        try:
-            os.replace(self._sink_path, self._sink_path + ".1")
-        except OSError:
-            pass
-        self._sink = open(self._sink_path, "w")
-        self._sink_lines = 0
+        sink = self._sink
+        if sink is not None:
+            try:
+                sink.append(record)
+            except OSError:
+                pass   # telemetry must never fail the traced work
 
     # -- export ----------------------------------------------------------------
-    def set_sink(self, target, mode="a", max_lines=None):
-        """Stream finished spans to ``target`` (a path or file object).
+    def set_sink(self, path):
+        """Append every finished span to the JSONL file at ``path``.
 
-        Path sinks are size-bounded: once the file holds ``max_lines``
-        lines (default ``REPRO_TRACE_MAX_LINES``, 100000) it is rotated
-        to ``<path>.1`` — one generation is kept — and writing restarts
-        on a fresh file, so a long-running ``REPRO_TRACE`` session never
-        grows a trace without bound.  File-object sinks are the caller's
-        to bound.
+        The file rotates to ``<path>.1`` once it holds
+        ``jsonl.ROTATE_BYTES`` — one generation is kept — so a
+        long-running ``REPRO_TRACE`` session never grows a trace without
+        bound.  Nothing is opened here: each span appends on its own
+        (creating a missing directory), and a span that cannot be
+        written is only missing from the file.
         """
-        self.clear_sink()
-        if max_lines is None:
-            max_lines = int(os.environ.get("REPRO_TRACE_MAX_LINES",
-                                           100000) or 0) or None
-        with self._lock:
-            if hasattr(target, "write"):
-                self._sink, self._sink_owned = target, False
-            else:
-                self._sink = open(target, mode)
-                self._sink_owned = True
-                self._sink_path = os.fspath(target)
-                self._sink_max_lines = max_lines
-                if "a" in mode:
-                    self._sink_lines = _count_lines(self._sink_path)
+        self._sink = jsonl.JsonlLog(path, "span_id",
+                                    max_bytes=jsonl.ROTATE_BYTES)
 
     def clear_sink(self):
-        with self._lock:
-            sink, owned = self._sink, self._sink_owned
-            self._sink, self._sink_owned = None, False
-            self._sink_path, self._sink_lines = None, 0
-            self._sink_max_lines = None
-        if sink is not None and owned:
-            sink.close()
+        self._sink = None
 
     def spans(self):
         """Finished spans (as dicts), oldest first."""
         with self._lock:
             return list(self._retained)
-
-    def export_jsonl(self, path):
-        """Write every retained span to ``path`` as JSON lines."""
-        records = self.spans()
-        with open(path, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
-        return len(records)
 
     def reset(self):
         """Drop retained spans (sink, if any, is left in place)."""

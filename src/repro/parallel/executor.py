@@ -55,20 +55,15 @@ class WorkerCrashError(RuntimeError):
 
 
 def pick_start_method():
-    """``REPRO_MP_START``, else fork when safe, spawn otherwise.
+    """fork when safe, spawn otherwise.
 
     fork is cheap (workers inherit loaded modules) but unsafe when
     other threads are alive — a forked child can inherit a lock held
     mid-operation by a thread that doesn't exist in the child.
     Results are bit-identical either way.
     """
-    method = os.environ.get("REPRO_MP_START", "").strip()
-    available = multiprocessing.get_all_start_methods()
-    if method:
-        if method in available:
-            return method
-        _log.warning("ignoring unavailable REPRO_MP_START", value=method)
-    if "fork" in available and threading.active_count() == 1:
+    if "fork" in multiprocessing.get_all_start_methods() \
+            and threading.active_count() == 1:
         return "fork"
     return "spawn"
 

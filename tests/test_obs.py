@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -15,9 +18,9 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.obs import (Counter, Gauge, Histogram, LogManager, Logger,
-                       MetricsRegistry, SloTracker, Tracer,
-                       format_span_tree, get_registry, iter_trace_records,
+from repro.obs import (Counter, Gauge, Histogram, JsonlLog, LogManager,
+                       Logger, MetricsRegistry, SloTracker, Tracer,
+                       format_span_tree, get_registry, jsonl,
                        mint_trace_id, render_top)
 
 
@@ -300,15 +303,18 @@ class TestTracing:
 
     def test_jsonl_export_roundtrip(self, tmp_path):
         tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
         path = tmp_path / "trace.jsonl"
-        count = tracer.export_jsonl(path)
-        records = [json.loads(line)
-                   for line in path.read_text().splitlines()]
-        assert count == len(records) == 2
+        tracer.set_sink(path)
+        with tracer.span("a"):
+            with tracer.span("b", count=np.int64(3)):
+                pass
+        tracer.clear_sink()
+        records, corrupt = JsonlLog(path, "span_id").scan()
+        assert corrupt == 0
+        assert records == json.loads(json.dumps(tracer.spans(),
+                                                default=jsonl.jsonable))
         assert {r["name"] for r in records} == {"a", "b"}
+        assert records[0]["attrs"] == {"count": 3}
 
     def test_streaming_sink(self, tmp_path):
         tracer = Tracer()
@@ -337,62 +343,60 @@ class TestTracing:
 
 
 class TestTraceRotation:
-    def test_sink_rotates_at_max_lines(self, tmp_path):
-        tracer = Tracer()
+    def test_append_mode_counts_preexisting_lines(self, tmp_path,
+                                                  monkeypatch):
+        """A sink set on a file that already holds records appends, and
+        those records count toward the size bound."""
         path = tmp_path / "trace.jsonl"
-        tracer.set_sink(path, max_lines=5)
-        for i in range(12):
-            with tracer.span(f"s{i}"):
-                pass
-        tracer.clear_sink()
-        rotated = tmp_path / "trace.jsonl.1"
-        assert rotated.exists()
-        kept = path.read_text().splitlines()
-        old = rotated.read_text().splitlines()
-        assert len(old) == 5
-        assert len(kept) <= 5
-        # the live file always holds the most recent spans
-        assert [json.loads(line)["name"] for line in kept] == \
-            ["s10", "s11"]
-
-    def test_append_mode_counts_preexisting_lines(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"name": "old"}\n' * 4)
+        line = json.dumps(_span_records(("fills", "t0"))[0]) + "\n"
+        path.write_text(line * 4)
+        monkeypatch.setattr(jsonl, "ROTATE_BYTES", int(4.5 * len(line)))
         tracer = Tracer()
-        tracer.set_sink(path, mode="a", max_lines=5)
+        tracer.set_sink(path)
         with tracer.span("fills"):
-            pass                       # fifth line: at the cap, kept
+            pass                       # fifth record: under the bound
         with tracer.span("rolls"):
-            pass                       # past the cap: rotates first
+            pass                       # at the bound: rotates first
         tracer.clear_sink()
         old = (tmp_path / "trace.jsonl.1").read_text().splitlines()
         assert len(old) == 5
         assert json.loads(old[-1])["name"] == "fills"
         kept = path.read_text().splitlines()
-        assert len(kept) == 1
-        assert json.loads(kept[0])["name"] == "rolls"
+        assert [json.loads(line)["name"] for line in kept] == ["rolls"]
 
-    def test_max_lines_defaults_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_MAX_LINES", "2")
-        tracer = Tracer()
-        path = tmp_path / "t.jsonl"
-        tracer.set_sink(path)
-        for i in range(3):
-            with tracer.span(f"s{i}"):
-                pass
-        tracer.clear_sink()
-        assert (tmp_path / "t.jsonl.1").exists()
-        assert len(path.read_text().splitlines()) == 1
 
-    def test_file_object_sinks_never_rotate(self, tmp_path):
+class TestTraceSinkErrors:
+    def test_missing_sink_directory_does_not_stop_startup(self, tmp_path):
+        """``REPRO_TRACE`` under a directory that does not exist yet: the
+        import succeeds and the first span creates the directory."""
+        path = tmp_path / "missing" / "t.jsonl"
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "REPRO_TRACE": str(path),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("from repro.obs import get_tracer\n"
+                "with get_tracer().span('boot'):\n"
+                "    pass\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        records, _corrupt = JsonlLog(path, "span_id").scan()
+        assert [r["name"] for r in records] == ["boot"]
+
+    def test_unwritable_sink_keeps_the_traced_result(self, tmp_path):
+        """A span that cannot be written (the sink path is a directory)
+        is dropped from the file only: the traced work returns its value
+        and the tracer still retains the span."""
         tracer = Tracer()
-        buffer = io.StringIO()
-        tracer.set_sink(buffer, max_lines=1)
-        for i in range(4):
-            with tracer.span(f"s{i}"):
-                pass
+        tracer.set_sink(tmp_path)
+
+        def traced():
+            with tracer.span("work"):
+                return 42
+
+        assert traced() == 42
         tracer.clear_sink()
-        assert len(buffer.getvalue().splitlines()) == 4
+        assert [r["name"] for r in tracer.spans()] == ["work"]
 
 
 def _span_records(*named):
@@ -414,8 +418,9 @@ class TestTraceRecords:
             fh.write("not json\n\n")
             fh.write(json.dumps({"no": "span_id"}) + "\n")
             fh.write(json.dumps(newer) + "\n")
-        records = list(iter_trace_records(path))
+        records, corrupt = JsonlLog(path, "span_id").scan()
         assert [r["name"] for r in records] == ["old", "new"]
+        assert corrupt == 2
 
     def test_trace_id_filter(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -423,12 +428,14 @@ class TestTraceRecords:
             for record in _span_records(("a", "t1"), ("b", "t2"),
                                         ("c", "t1")):
                 fh.write(json.dumps(record) + "\n")
-        records = list(iter_trace_records(path, trace_id="t1"))
-        assert [r["name"] for r in records] == ["a", "c"]
-        assert list(iter_trace_records(path, trace_id="zzz")) == []
+        sink = JsonlLog(path, "span_id")
+        assert [r["name"] for r in sink.scan(trace_id="t1")[0]] == \
+            ["a", "c"]
+        assert sink.scan(trace_id="zzz") == ([], 0)
 
     def test_missing_file_yields_nothing(self, tmp_path):
-        assert list(iter_trace_records(tmp_path / "absent.jsonl")) == []
+        assert JsonlLog(tmp_path / "absent.jsonl", "span_id").scan() == \
+            ([], 0)
 
     def test_mint_trace_id_shape(self):
         ids = {mint_trace_id() for _ in range(32)}

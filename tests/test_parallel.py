@@ -11,7 +11,9 @@ the seed-determinism property the cache keys rely on.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 
@@ -263,11 +265,42 @@ class TestParallelExecutor:
         with pytest.raises(WorkerCrashError, match="crashed 2 times"):
             ex.map(_crash_always, [1, 2, 3])
 
-    def test_start_method_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_START", "spawn")
-        assert ParallelExecutor._start_method() == "spawn"
-        monkeypatch.setenv("REPRO_MP_START", "not-a-method")
-        assert ParallelExecutor._start_method() in ("fork", "spawn")
+    def test_start_method_auto_pick(self):
+        """spawn while another thread is alive; fork, where the platform
+        has it, in a fresh single-threaded interpreter."""
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            assert ParallelExecutor._start_method() == "spawn"
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.parallel import pick_start_method\n"
+             "print(pick_start_method())"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        expected = "fork" if "fork" in \
+            multiprocessing.get_all_start_methods() else "spawn"
+        assert proc.stdout.strip() == expected
+
+    @pytest.mark.parametrize("env, shown", [(None, 1), ("2", 2)])
+    def test_build_dataset_prints_worker_count(self, env, shown,
+                                               monkeypatch, capsys):
+        from repro.cli import main
+        if env is None:
+            monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", env)
+        assert main(["build-dataset", "--scale", "0.15", "--designs",
+                     "spm", "--no-cache"]) == 0
+        assert f"(workers={shown}," in capsys.readouterr().out
 
 
 # -- differential: parallel == serial -----------------------------------------

@@ -69,6 +69,10 @@ class TestRunLedger:
         assert ledger.get(record["run_id"])["kind"] == "train_timing"
         assert ledger.get("train_timing-")["run_id"] == record["run_id"]
         assert ledger.get("no-such-run") is None
+        # A prefix that several runs share names the newest of them.
+        newer = ledger.append({"kind": "train_timing"})
+        assert ledger.get("train_timing-")["run_id"] == newer["run_id"]
+        assert ledger.get(record["run_id"])["run_id"] == record["run_id"]
 
     def test_missing_file_reads_empty(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "nowhere"))
